@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck check chaos bench bench-json load
+.PHONY: build test race vet fmt-check staticcheck rwrdbench-test check chaos bench bench-json load
 
 build:
 	$(GO) build ./...
@@ -33,9 +33,16 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI enforces it)"; \
 	fi
 
-# check is the CI gate: formatting, static analysis, and the full test
-# suite under the race detector.
-check: fmt-check vet staticcheck race
+# rwrdbench-test runs the end-to-end benchmark harness's own tests.
+# rwrdbench is a nested module, so the root ./... patterns never reach it;
+# its integration test builds rwrd and boots it with the benchmark's
+# deployment flags, so it also catches an rwrd that rejects one of them.
+rwrdbench-test:
+	cd rwrdbench && $(GO) test ./...
+
+# check is the CI gate: formatting, static analysis, the full test suite
+# under the race detector, and the benchmark harness's tests.
+check: fmt-check vet staticcheck race rwrdbench-test
 
 # chaos compiles the fault-injection points in (build tag "faultinject")
 # and runs the whole suite — including the phase-targeted deadline and

@@ -16,17 +16,14 @@ import (
 	"io"
 	"runtime"
 	"testing"
-	"time"
 
 	"resacc/internal/algo"
 	"resacc/internal/algo/alias"
-	"resacc/internal/algo/fora"
 	"resacc/internal/algo/forward"
 	"resacc/internal/bench"
 	"resacc/internal/core"
 	"resacc/internal/dataset"
 	"resacc/internal/graph/gen"
-	"resacc/internal/hotset"
 	"resacc/internal/rng"
 	"resacc/internal/ws"
 )
@@ -272,109 +269,6 @@ func BenchmarkQueryPooledRepeat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.QueryWS(g, 1, p, w)
 	}
-}
-
-// BenchmarkQueryZipfHot is the hot-source endpoint tier's headline A/B: the
-// same steady-state cache-miss recompute as BenchmarkQueryPooledRepeat over
-// a rotating 16-source Zipf head, once with each source's boost-1 endpoint
-// set attached (hot — the remedy phase replays stored endpoints and
-// simulates nothing) and once without (cold — the index-free path). The
-// head's sets must fit the stated 16 MiB budget, the benchmark enforces it.
-//
-// The "pair" sub-benchmark runs one hot and one cold query per iteration,
-// timing each side separately and reporting them as hot-ns/op and
-// cold-ns/op: on a shared-tenancy host whose speed drifts by tens of
-// percent across multi-second windows, sequential hot-then-cold
-// sub-benchmarks measure the host's drift, not the tier — interleaving
-// puts both sides in every window so the ratio is drift-free.
-// scripts/benchjson.sh gates hot against cold on the pair row: hot
-// regressing to within 10% of cold means the tier silently died. The
-// standalone hot/cold sub-benchmarks remain for manual profiling runs.
-func BenchmarkQueryZipfHot(b *testing.B) {
-	g := dataset.MustBuild("twitter-s", 0.1)
-	p := algo.DefaultParams(g)
-	p.Seed = 1
-	// Default thresholds (RMaxF = 1/(10m), RMaxHop = 1e-14) buy accuracy
-	// headroom with push work, leaving the remedy phase ~5% of the query —
-	// the tier can only win that sliver. Measure in a cost-balanced regime
-	// instead: FORA's balanced threshold equalizes plain forward push
-	// against walks, and this pipeline's h-hop phase amortizes pushes
-	// better, so 5× that threshold is where hop-push and walk costs
-	// actually meet on this dataset (phase split ~2.8ms push / ~2.2ms
-	// remedy per cold query). The ε·max(π, 1/n) guarantee holds at any
-	// threshold — walks scale with the residue left — this is the
-	// throughput-oriented tuning the tier is for (docs/TUNING.md, "The
-	// OMFWD threshold"). RMaxHop stays two decades under RMaxF, as the
-	// phase ordering requires.
-	p.RMaxF = 5 * fora.BalancedRMax(g, p)
-	p.RMaxHop = p.RMaxF / 100
-	const hotK = 16
-	srcs := make([]int32, hotK)
-	sets := make([]*hotset.Set, hotK)
-	s := core.Solver{}
-	var setBytes int64
-	for i := range srcs {
-		srcs[i] = int32(i * (g.N() / hotK))
-		set, err := s.BuildEndpointSet(g, srcs[i], p, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sets[i] = set
-		setBytes += set.Bytes()
-	}
-	if setBytes > 16<<20 {
-		b.Fatalf("hot head costs %d bytes, exceeding the stated 16 MiB budget", setBytes)
-	}
-
-	warm := func(s core.Solver, w *ws.Workspace) {
-		for i := range srcs {
-			s.QueryWS(g, srcs[i], p, w)
-		}
-	}
-	b.Run("pair", func(b *testing.B) {
-		w := ws.New(g.N())
-		warm(s, w)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var hotNS, coldNS time.Duration
-		for i := 0; i < b.N; i++ {
-			hot := s
-			hot.Endpoints = sets[i%hotK]
-			t0 := time.Now()
-			st := hot.QueryWS(g, srcs[i%hotK], p, w)
-			hotNS += time.Since(t0)
-			if st.Walks != 0 {
-				b.Fatalf("hot query sampled %d fresh walks, want full reuse", st.Walks)
-			}
-			t0 = time.Now()
-			s.QueryWS(g, srcs[i%hotK], p, w)
-			coldNS += time.Since(t0)
-		}
-		b.ReportMetric(float64(hotNS.Nanoseconds())/float64(b.N), "hot-ns/op")
-		b.ReportMetric(float64(coldNS.Nanoseconds())/float64(b.N), "cold-ns/op")
-	})
-	b.Run("hot", func(b *testing.B) {
-		w := ws.New(g.N())
-		warm(s, w)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hot := s
-			hot.Endpoints = sets[i%hotK]
-			if st := hot.QueryWS(g, srcs[i%hotK], p, w); st.Walks != 0 {
-				b.Fatalf("hot query sampled %d fresh walks, want full reuse", st.Walks)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		w := ws.New(g.N())
-		warm(s, w)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.QueryWS(g, srcs[i%hotK], p, w)
-		}
-	})
 }
 
 func BenchmarkCommunityDetection(b *testing.B) {

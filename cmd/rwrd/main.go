@@ -78,9 +78,7 @@ func main() {
 		queryTO    = flag.Duration("query-timeout", 30*time.Second, "per-request answer deadline")
 		maxBatch   = flag.Int("max-batch", 1024, "max sources per /v1/batch request")
 
-		hotMemMB   = flag.Int64("hot-mem-mb", 0, "hot-source walk-endpoint tier memory budget in MiB: a background warmer stores remedy walk endpoints for the hottest query sources so their cache-miss recomputes skip walk simulation (0 disables)")
-		hotMinQPS  = flag.Float64("hot-min-qps", 0, "minimum observed per-source query rate before the hot tier warms a source (0 = warm any tracked source, budget permitting; with -hot-mem-mb)")
-		hotWorkers = flag.Int("hot-warm-workers", 0, "hot-tier warmer build concurrency, kept small so warming does not steal query CPU (0 = 1; with -hot-mem-mb)")
+		hotMemMB = flag.Int64("hot-mem-mb", 0, "ignored: the hot-source walk-endpoint tier is gone; the flag is still accepted so existing command lines keep starting")
 
 		sojournTgt = flag.Duration("sojourn-target", 0, "queue-wait target for adaptive admission: sustained waits above it shed with 429 (0 = 25ms, negative disables sojourn control)")
 		brownout   = flag.Duration("brownout", 2*time.Second, "tightened per-query deadline while pressure is Elevated, serving degraded 206 answers instead of queueing (0 disables)")
@@ -89,7 +87,6 @@ func main() {
 		liveMode  = flag.Bool("live", false, "enable streaming edge edits via POST /v1/edges")
 		staleness = flag.Duration("max-staleness", 500*time.Millisecond, "bound on how long an accepted edit may stay invisible to queries (with -live)")
 		swapPend  = flag.Int("swap-pending", 0, "pending-edit count that forces an immediate snapshot swap (0 = 1024; with -live)")
-		staleTol  = flag.Float64("stale-tolerance", 0, "absolute per-node score movement tolerated on cache entries surviving a scoped swap (0 = epsilon*delta; with -live)")
 		maxEdits  = flag.Int("max-edits", 4096, "max edits per /v1/edges request")
 		editQuota = flag.Float64("edit-quota", 0, "per-client edit quota in edits/s on /v1/edges, rejected batches answer 429 + Retry-After (0 = unlimited; with -live)")
 		editBurst = flag.Float64("edit-burst", 0, "per-client edit burst allowance in edits (0 = 4x -edit-quota; with -live -edit-quota)")
@@ -103,6 +100,9 @@ func main() {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	}
 	logger := slog.New(handler)
+	if *hotMemMB != 0 {
+		logger.Warn("rwrd: -hot-mem-mb is ignored; the hot-source tier no longer exists", "hot_mem_mb", *hotMemMB)
+	}
 
 	g, err := loadGraph(*graphPath, *dsName, *scale, *undirected)
 	if err != nil {
@@ -119,21 +119,18 @@ func main() {
 		TraceBuffer: *traceBuf,
 		Pprof:       *withPprof,
 		Engine: resacc.EngineOptions{
-			Workers:        *workers,
-			WalkWorkers:    *walkWkrs,
-			PushWorkers:    *pushWkrs,
-			Relabel:        *relabel,
-			DenseSwitch:    *denseSw,
-			AliasWalks:     *aliasWalks,
-			QueueDepth:     *queueDepth,
-			SojournTarget:  *sojournTgt,
-			MemSoftLimit:   *memLimitMB << 20,
-			CacheBytes:     *cacheMB << 20,
-			CacheTTL:       *cacheTTL,
-			CacheShards:    *cacheShard,
-			HotMemBytes:    *hotMemMB << 20,
-			HotMinQPS:      *hotMinQPS,
-			HotWarmWorkers: *hotWorkers,
+			Workers:       *workers,
+			WalkWorkers:   *walkWkrs,
+			PushWorkers:   *pushWkrs,
+			Relabel:       *relabel,
+			DenseSwitch:   *denseSw,
+			AliasWalks:    *aliasWalks,
+			QueueDepth:    *queueDepth,
+			SojournTarget: *sojournTgt,
+			MemSoftLimit:  *memLimitMB << 20,
+			CacheBytes:    *cacheMB << 20,
+			CacheTTL:      *cacheTTL,
+			CacheShards:   *cacheShard,
 		},
 		QueryTimeout: *queryTO,
 		Brownout:     *brownout,
@@ -144,7 +141,6 @@ func main() {
 			MaxPending:   *swapPend,
 			MaxBacklog:   *editBklog,
 			MinSwapGap:   *swapGap,
-			Tolerance:    *staleTol,
 		},
 		MaxEdits:  *maxEdits,
 		EditQuota: *editQuota,

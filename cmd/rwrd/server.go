@@ -38,9 +38,8 @@ type serverOpts struct {
 	// MaxBatch caps the source count of one /v1/batch request (≤ 0 = 1024).
 	MaxBatch int
 	// Live enables the streaming write path: POST /v1/edges applies edge
-	// edits that become visible within Live.MaxStaleness, invalidating
-	// only the delta-affected slice of the result cache. Without it the
-	// endpoint answers 403.
+	// edits that become visible within Live.MaxStaleness; each snapshot
+	// swap purges the result cache. Without it the endpoint answers 403.
 	Live bool
 	// LiveOptions tunes the write path when Live is set (Metrics is
 	// overwritten with the server's registry).
@@ -102,7 +101,6 @@ type server struct {
 	reqCancels    map[string]*obs.Counter
 	queryCancels  map[string]*obs.Counter
 	walksHist     *obs.Histogram
-	hotReused     *obs.Histogram
 }
 
 func newServer(g *resacc.Graph, p resacc.Params, opts serverOpts) *server {
@@ -220,9 +218,6 @@ func (s *server) registerMetrics() {
 	}
 	s.walksHist = s.reg.Histogram("rwr_query_walks",
 		"Remedy-phase random walks per query.", obs.ExpBuckets(1, 4, 16))
-	s.hotReused = s.reg.Histogram("rwr_query_hot_reused",
-		"Stored walk endpoints replayed per query by the hot-source tier.",
-		obs.ExpBuckets(1, 4, 16))
 	s.degradedBound = s.reg.Histogram("rwr_degraded_bound",
 		"Additive error bound of degraded (deadline-truncated) answers.",
 		obs.ExpBuckets(1e-6, 10, 8))
@@ -282,9 +277,6 @@ func (s *server) observeQuery(ev resacc.QueryEvent) {
 		s.phaseHist["omfwd"].Observe(ev.Stats.OMFWD.Seconds())
 		s.phaseHist["remedy"].Observe(ev.Stats.Remedy.Seconds())
 		s.walksHist.Observe(float64(ev.Stats.Walks))
-		if ev.Stats.ReusedWalks > 0 {
-			s.hotReused.Observe(float64(ev.Stats.ReusedWalks))
-		}
 		if ev.Stats.HopRounds > 0 {
 			s.pushRounds["hhopfwd"].Add(float64(ev.Stats.HopRounds))
 		}
@@ -527,22 +519,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"brownout_active": s.brownout > 0 && s.engine.Pressure().Level() >= pressure.Elevated,
 		},
 	}
-	if es.Hot != nil {
-		out["hotset"] = map[string]any{
-			"entries":       es.Hot.Entries,
-			"bytes":         es.Hot.Bytes,
-			"budget_bytes":  es.Hot.Budget,
-			"hits":          es.Hot.Hits,
-			"partial":       es.Hot.Partial,
-			"misses":        es.Hot.Misses,
-			"builds":        es.Hot.Builds,
-			"build_errors":  es.Hot.BuildErrors,
-			"evictions":     es.Hot.Evictions,
-			"rejected":      es.Hot.Rejected,
-			"tracked":       es.Hot.Tracked,
-			"last_build_ms": float64(es.Hot.LastBuild.Microseconds()) / 1000,
-		}
-	}
 	if s.quota != nil {
 		out["edit_quota"] = map[string]any{
 			"rejected": s.quota.Rejects(),
@@ -559,8 +535,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"edges_removed":     ls.EdgesRemoved,
 			"edge_noops":        ls.EdgeNoops,
 			"swaps":             ls.Swaps,
-			"scoped_swaps":      ls.ScopedSwaps,
-			"full_swaps":        ls.FullSwaps,
+			"full_swaps":        ls.Swaps, // every swap purges
 			"swap_failures":     ls.SwapFailures,
 			"invalidated":       ls.Invalidated,
 			"rejected_backlog":  ls.RejectedBacklog,

@@ -96,7 +96,8 @@ func runLoad(ctx context.Context, cfg loadConfig) (*report, error) {
 // retry waits an exponentially growing, jittered delay, raised to the
 // server's Retry-After when it names a longer one, and aborts early when
 // ctx expires. The final status is what gets recorded; retries are counted
-// separately in the report.
+// separately in the report. A request still backing off when the run ends
+// returns ctx's error, so runLoad drops it uncounted.
 func (cfg *loadConfig) fireRetry(ctx context.Context, src *sampler, jit *rand.Rand, rep *report) (int, error) {
 	method, url, body, err := cfg.buildReq(src)
 	if err != nil {
@@ -107,7 +108,9 @@ func (cfg *loadConfig) fireRetry(ctx context.Context, src *sampler, jit *rand.Ra
 		select {
 		case <-time.After(cfg.retryDelay(attempt, retryAfter, jit)):
 		case <-ctx.Done():
-			return status, nil // run is over; record the last answer we got
+			// The run ended mid-backoff: the request was abandoned, not
+			// answered, so report it like one cancelled in flight.
+			return status, ctx.Err()
 		}
 		rep.retries.Add(1)
 		status, retryAfter, err = cfg.send(ctx, method, url, body)
@@ -161,7 +164,7 @@ func (cfg *loadConfig) fireWrite(ctx context.Context, es *editState, jit *rand.R
 		select {
 		case <-time.After(cfg.retryDelay(attempt, retryAfter, jit)):
 		case <-ctx.Done():
-			return status, nil
+			return status, ctx.Err()
 		}
 		rep.retries.Add(1)
 		status, retryAfter, err = cfg.send(ctx, http.MethodPost, cfg.base+"/v1/edges", body)

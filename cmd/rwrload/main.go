@@ -8,13 +8,12 @@
 //	rwrload -addr http://localhost:8080 -zipf 0 -batch 32
 //
 // Sources are sampled Zipfian by default (-zipf 1.3), the skewed access
-// pattern that exercises the server's result cache, singleflight, and
-// hot-source endpoint tier; pass -zipf 0 for uniform, cache-hostile
-// traffic. Which node ids form the Zipf head is a deterministic function
-// of -seed shared by every worker in both loop modes, so reruns with the
-// same seed hammer the same hot sources — a hot tier warmed by one run is
-// warm for the next. With -batch N each request is a POST /v1/batch
-// carrying N sources instead of one GET /v1/query.
+// pattern that exercises the server's result cache and singleflight; pass
+// -zipf 0 for uniform, cache-hostile traffic. Which node ids form the Zipf
+// head is a deterministic function of -seed shared by every worker in both
+// loop modes, so reruns with the same seed hammer the same hot sources.
+// With -batch N each request is a POST /v1/batch carrying N sources
+// instead of one GET /v1/query.
 // Shed (429) and unavailable (503) answers are retried up to -retries
 // times with jittered exponential backoff, honouring the server's
 // Retry-After hint; the report counts retries separately from requests.

@@ -74,9 +74,9 @@ func hotHead(s *sampler) int32 {
 	return top
 }
 
-// TestSamplerWorkersShareHotHead pins the property the server's hot-source
-// tier depends on: the Zipf head is one shared id set derived from the base
-// seed, identical across workers, and moved by a different seed.
+// TestSamplerWorkersShareHotHead pins the seeded Zipf head: one shared id
+// set derived from the base seed, identical across workers, and moved by a
+// different seed.
 func TestSamplerWorkersShareHotHead(t *testing.T) {
 	h0 := hotHead(newSampler(1000, 1.3, 9, 0))
 	h3 := hotHead(newSampler(1000, 1.3, 9, 3))
@@ -211,6 +211,44 @@ func TestRunLoadRetriesShedRequests(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "retries") {
 		t.Fatalf("summary missing retry line:\n%s", rep)
+	}
+}
+
+// TestRunLoadDropsRetryAbandonedAtDeadline pins down how a request still
+// backing off when the run ends is counted. The stub always sheds with
+// Retry-After: 1, so every worker's first request is mid-backoff (at least
+// 500ms) when the 100ms run expires. Such a request was abandoned, not
+// answered: it must be dropped like one cancelled in flight, not recorded
+// as a 429.
+func TestRunLoadDropsRetryAbandonedAtDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		writeMix float64
+	}{{"reads", 0}, {"writes", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hits atomic.Uint64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusTooManyRequests)
+			}))
+			defer srv.Close()
+
+			rep, err := runLoad(context.Background(), loadConfig{
+				base: srv.URL, workers: 2, duration: 100 * time.Millisecond,
+				k: 5, n: 50, seed: 1, retries: 3, client: srv.Client(),
+				writeMix: tc.writeMix, editBatch: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits.Load() == 0 {
+				t.Fatal("stub saw no requests")
+			}
+			if rep.shed.Load() != 0 {
+				t.Fatalf("abandoned retries counted as sheds: %s", rep)
+			}
+		})
 	}
 }
 

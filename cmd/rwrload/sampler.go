@@ -4,17 +4,15 @@ import "math/rand"
 
 // sampler draws query sources from [0, n). With skew > 1 it is Zipfian —
 // a small set of "celebrity" nodes absorbs most of the traffic, which is
-// the access pattern that makes a result cache (and the server's hot-source
-// endpoint tier) worth having. With skew <= 1 it degenerates to uniform,
-// the cache-hostile worst case.
+// the access pattern that makes a result cache worth having. With
+// skew <= 1 it degenerates to uniform, the cache-hostile worst case.
 //
 // Which nodes are the celebrities is a function of the base -seed alone:
 // Zipf ranks pass through an affine bijection (a·r + b) mod n whose
 // coefficients derive from the base seed, not the worker index. Every
 // worker in both loop modes therefore hammers the same hot id set, and a
-// rerun with the same -seed replays it exactly — so a server-side hot tier
-// warmed in one run is warm for the same sources in the next. Without the
-// bijection the head would always be ids 0, 1, 2, ... regardless of seed.
+// rerun with the same -seed replays it exactly. Without the bijection the
+// head would always be ids 0, 1, 2, ... regardless of seed.
 //
 // A sampler is not safe for concurrent use; give each load worker its own.
 type sampler struct {

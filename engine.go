@@ -102,24 +102,6 @@ type EngineOptions struct {
 	// switchover as a fraction of |E| (see core.Solver.DenseSwitch):
 	// 0 = the default (1/8), negative disables the sweep backend.
 	DenseSwitch float64
-	// HotMemBytes, when > 0, enables the traffic-adaptive hot-source
-	// walk-endpoint tier (see hotTier): a background warmer records remedy
-	// walk endpoints for the hottest query sources under this byte budget,
-	// and full queries for a warmed source replay the stored endpoints
-	// instead of simulating walks. Same ε·max(π, 1/n) guarantee, same
-	// determinism per source; materially lower latency on Zipfian heads.
-	// Ignored when Compute is set (no solver, no remedy phase to skip).
-	HotMemBytes int64
-	// HotMinQPS admits a source into the hot tier only while its observed
-	// arrival rate is at least this (≤ 0 admits every tracked source,
-	// budget permitting).
-	HotMinQPS float64
-	// HotWarmWorkers is the warmer's build concurrency (≤ 0 = 1). Builds
-	// run off the serve pool; keep this small so warming does not steal
-	// query CPU.
-	HotWarmWorkers int
-	// HotWarmInterval is the warm cycle period (≤ 0 = 2s).
-	HotWarmInterval time.Duration
 	// Metrics, when non-nil, receives the engine metric families (cache
 	// hits/misses/evictions, dedup joins, sheds, queue depth, cache
 	// size, cached-vs-computed latency). Note the registry type lives in
@@ -147,10 +129,9 @@ type Engine struct {
 	// for their whole computation, swaps replace it atomically, and a
 	// superseded snapshot retires when its last reader releases it.
 	snap atomic.Pointer[live.Snapshot]
-	// epoch versions the cache keyspace: it bumps only on full
-	// invalidations (UpdateGraph, Invalidate, aborted scoping), making
-	// every existing key unreachable at once. Scoped swaps leave it alone
-	// so surviving entries keep serving hits.
+	// epoch versions the cache keyspace: every snapshot swap (live,
+	// UpdateGraph) and every Invalidate bumps it and purges the cache,
+	// making every existing key unreachable at once.
 	epoch atomic.Uint64
 	// swapGen mints a unique, monotonic epoch for every published snapshot
 	// (and counts Invalidate calls so the Swaps stat covers both). The
@@ -180,15 +161,6 @@ type Engine struct {
 	denseSwitch float64
 	relabel     bool
 	aliasWalks  bool
-
-	// hot is the traffic-adaptive walk-endpoint tier (nil when disabled —
-	// see EngineOptions.HotMemBytes).
-	hot *hotTier
-
-	// syncMu serialises SyncDynamic snapshot/swap pairs; dynVer is the
-	// last Dynamic.Version applied.
-	syncMu sync.Mutex
-	dynVer uint64
 }
 
 // engineEntry is one cached answer; exactly one field group is set
@@ -368,22 +340,18 @@ func NewEngine(g *Graph, p Params, opts EngineOptions) *Engine {
 			func() float64 { return float64(e.monitor.Level()) })
 	}
 	// The put gate runs under the cache shard lock: together with the
-	// shard-locked invalidation sweep it makes "compute on old snapshot,
-	// cache after the swap" impossible (see Cache.SetGate). The entry
-	// carries the epoch of the snapshot its computation pinned, and the
-	// gate compares it against the epoch of the snapshot published right
-	// now — an identity tied to the pointer itself, so there is no window
-	// (unlike gating on a separate counter) where a new generation can
-	// pair with a pin of the pre-swap snapshot. The key-epoch check keeps
-	// computations that straddle a full invalidation from parking entries
-	// under a retired keyspace.
+	// shard-locked purge it makes "compute on old snapshot, cache after the
+	// swap" impossible (see Cache.SetGate). The entry carries the epoch of
+	// the snapshot its computation pinned, and the gate compares it against
+	// the epoch of the snapshot published right now — an identity tied to
+	// the pointer itself, so there is no window (unlike gating on a
+	// separate counter) where a new generation can pair with a pin of the
+	// pre-swap snapshot. The key-epoch check covers Invalidate, which
+	// retires the keyspace without publishing a snapshot: a computation
+	// straddling it cannot park its entry under the retired keyspace.
 	e.inner.Cache().SetGate(func(k serve.Key, en *engineEntry) bool {
 		return en.gen == e.snap.Load().Epoch() && k.Epoch == e.epoch.Load()
 	})
-	if opts.HotMemBytes > 0 && !e.custom {
-		e.hot = newHotTier(e, opts)
-		e.hot.warmer.Start()
-	}
 	return e
 }
 
@@ -444,15 +412,9 @@ func (e *Engine) WalkWorkers() int { return e.walkWorkers }
 // (0 = sequential drain).
 func (e *Engine) PushWorkers() int { return e.pushWorkers }
 
-// Close stops the engine's worker pool after draining admitted work, and
-// the hot tier's background warmer when one is running. Queries after
-// Close fail.
-func (e *Engine) Close() {
-	if e.hot != nil {
-		e.hot.warmer.Close()
-	}
-	e.inner.Close()
-}
+// Close stops the engine's worker pool after draining admitted work.
+// Queries after Close fail.
+func (e *Engine) Close() { e.inner.Close() }
 
 // Graph returns the current graph in the caller's id space. With
 // EngineOptions.Relabel the engine internally serves a degree-relabeled
@@ -463,8 +425,8 @@ func (e *Engine) Graph() *Graph { return e.eventGraph(e.snap.Load()) }
 // Params returns the engine's fixed query parameters.
 func (e *Engine) Params() Params { return e.params }
 
-// Epoch returns the current graph epoch; it increments on every
-// UpdateGraph/Invalidate and is part of every cache key.
+// Epoch returns the current graph epoch; it increments on every snapshot
+// swap and Invalidate, and is part of every cache key.
 func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
 // key builds the cache key for the current epoch.
@@ -488,9 +450,6 @@ func (e *Engine) Query(ctx context.Context, source int32) (*Result, error) {
 }
 
 func (e *Engine) queryFull(ctx context.Context, source int32, wait bool) (*Result, error) {
-	if h := e.hot; h != nil {
-		h.observe(source)
-	}
 	en, _, err := e.inner.Do(ctx, e.key(serve.KindFull, source, 0), wait,
 		func(fctx context.Context) (*engineEntry, int64, error) {
 			snap := e.pin()
@@ -524,20 +483,7 @@ func (e *Engine) computeFull(fctx context.Context, snap *live.Snapshot, source i
 		return nil, err
 	}
 	if !e.custom {
-		s := e.snapSolver(snap)
-		if h := e.hot; h != nil {
-			// The lookup demands an exact epoch match against the pinned
-			// snapshot, so a set surviving here was either built against
-			// this very snapshot or retargeted to it by a scoped swap that
-			// proved the source unaffected. Walk data is immutable; a
-			// concurrent drop cannot mutate what the query replays.
-			s.Endpoints = h.store.Lookup(source, snap.Epoch())
-		}
-		res, err := querySolverOn(fctx, g, e.eventGraph(snap), src, source, e.params, s)
-		if h := e.hot; h != nil && err == nil {
-			h.classify(s.Endpoints != nil, res.Stats.Walks)
-		}
-		return res, err
+		return querySolverOn(fctx, g, e.eventGraph(snap), src, source, e.params, e.snapSolver(snap))
 	}
 	res, err := e.compute(fctx, g, src, e.params)
 	if err != nil {
@@ -559,9 +505,6 @@ func (e *Engine) QueryTopK(ctx context.Context, source int32, k int) (TopK, erro
 	}
 	if n := e.Graph().N(); k > n {
 		k = n
-	}
-	if h := e.hot; h != nil {
-		h.observe(source)
 	}
 	en, _, err := e.inner.Do(ctx, e.key(serve.KindTopK, source, int32(k)), false,
 		func(fctx context.Context) (*engineEntry, int64, error) {
@@ -587,21 +530,10 @@ func (e *Engine) QueryTopK(ctx context.Context, source int32, k int) (TopK, erro
 			} else {
 				// The snapshot solver's ScoreRemap translates each round's
 				// scores before ranking, so the ranked node ids are already
-				// caller-space. A hot endpoint set serves the adaptive
-				// rounds exactly as it serves a full query — walk endpoints
-				// start at the candidate node, not the source, and a set
-				// sized at the full budget covers every reduced-budget
-				// round (see queryTopKSolverOn).
-				s := e.snapSolver(snap)
-				if h := e.hot; h != nil {
-					s.Endpoints = h.store.Lookup(source, snap.Epoch())
-				}
-				tk, walks, err := queryTopKSolverOn(fctx, g, e.eventGraph(snap), src, source, k, e.params, s)
+				// caller-space.
+				tk, err := queryTopKSolverOn(fctx, g, e.eventGraph(snap), src, source, k, e.params, e.snapSolver(snap))
 				if err != nil {
 					return nil, 0, err
-				}
-				if h := e.hot; h != nil {
-					h.classify(s.Endpoints != nil, walks)
 				}
 				en = &engineEntry{ranked: tk.Ranked, level: tk.Level,
 					degraded: tk.Degraded, bound: tk.Bound, phase: tk.Phase}
@@ -709,13 +641,10 @@ func (e *Engine) QueryBatch(ctx context.Context, sources []int32) ([]*Result, []
 }
 
 // applyLiveSwap is the engine's implementation of live.SwapFunc: publish g
-// as the new pinned snapshot, retire the old one RCU-style, and invalidate
-// exactly the cache entries the edit delta can have moved. full forces a
-// whole-cache purge (epoch bump); otherwise only entries whose source is
-// in affected are dropped and the epoch — hence every surviving key —
-// stays put. onRetire (may be nil) is armed on the new snapshot. Returns
-// the number of cache entries invalidated.
-func (e *Engine) applyLiveSwap(g *Graph, affected map[int32]struct{}, full bool, onRetire func()) int {
+// as the new pinned snapshot, retire the old one RCU-style, bump the epoch
+// and purge the result cache. onRetire (may be nil) is armed on the new
+// snapshot. Returns the number of cache entries invalidated.
+func (e *Engine) applyLiveSwap(g *Graph, onRetire func()) int {
 	// Bumping the counter before storing the pointer is fine: the put gate
 	// reads generations off the snapshots themselves, never this counter,
 	// so the window between the two cannot pair a new generation with a
@@ -733,65 +662,17 @@ func (e *Engine) applyLiveSwap(g *Graph, affected map[int32]struct{}, full bool,
 	// Scratch sized for the old snapshot survives edge-only swaps; only a
 	// node-count change retires the pooled workspaces.
 	e.wsPool.Refit(g.N())
-	if full {
-		e.epoch.Add(1)
-		n := e.inner.Purge()
-		if e.hot != nil {
-			e.hot.store.Purge(gen)
-		}
-		return n
-	}
-	if e.hot != nil {
-		// Scoped swap: drop only the affected sources' endpoint sets and
-		// advance survivors to the new snapshot's epoch — the same ε·δ
-		// staleness tolerance that lets their cached results survive. A
-		// relabeling engine purges instead: each swap re-derives the
-		// internal id space, so a survivor's node/endpoint ids would be
-		// meaningless against the new snapshot. This must run even when
-		// affected is empty (the snapshot epoch changed regardless).
-		if e.relabel {
-			e.hot.store.Purge(gen)
-		} else {
-			e.hot.store.Retarget(gen, affected)
-		}
-	}
-	if len(affected) == 0 {
-		return 0
-	}
-	return e.inner.InvalidateMatching(func(k serve.Key) bool {
-		_, hit := affected[k.Source]
-		return hit
-	})
-}
-
-// affectConfig derives the scoped-invalidation parameters from the
-// engine's own accuracy regime: tolerating ε·δ of absolute movement on
-// surviving entries adds at most one more unit of the error the
-// approximation already permits (Definition 1 guarantees relative error ε
-// above significance δ).
-func (e *Engine) affectConfig() live.AffectConfig {
-	p := e.params
-	if p.Alpha <= 0 || p.Alpha >= 1 {
-		p.Alpha = 0.2
-	}
-	if p.Epsilon <= 0 {
-		p.Epsilon = 0.5
-	}
-	if p.Delta <= 0 {
-		if n := e.Graph().N(); n > 0 {
-			p.Delta = 1 / float64(n)
-		}
-	}
-	return live.AffectConfig{Alpha: p.Alpha, Tolerance: p.Epsilon * p.Delta}
+	e.epoch.Add(1)
+	return e.inner.Purge()
 }
 
 // UpdateGraph swaps the served graph for g and bumps the epoch, so every
 // cached result is invalidated (and purged) atomically with the swap.
 // In-flight computations finish against the snapshot they pinned. For
-// streaming edits prefer StartLive, which invalidates only the affected
-// region instead of the whole cache.
+// streaming edits use StartLive, which batches them into swaps under a
+// staleness bound.
 func (e *Engine) UpdateGraph(g *Graph) {
-	e.applyLiveSwap(g, nil, true, nil)
+	e.applyLiveSwap(g, nil)
 	e.wsPool.Invalidate()
 }
 
@@ -806,74 +687,7 @@ func (e *Engine) Invalidate() {
 	e.swapGen.Add(1)
 	e.epoch.Add(1)
 	e.inner.Purge()
-	if e.hot != nil {
-		// No snapshot swap happened, so the store's expected epoch stays at
-		// the published snapshot's — but the caller asked for everything to
-		// be recomputed, and the endpoint tier honours that wholesale.
-		e.hot.store.Purge(e.snap.Load().Epoch())
-	}
 	e.wsPool.Invalidate()
-}
-
-// SyncDynamic is the invalidation hook for dynamic graphs: if d has been
-// edited since the last sync (per Dynamic.Version), it materialises a
-// fresh snapshot, swaps it in and invalidates the affected cache entries.
-// It reports whether a swap happened.
-//
-// Invalidation is scoped, not a purge, when the lineage allows it: d's
-// cumulative edits describe the delta from d.Base(), so only while the
-// engine is still serving that exact graph can they identify which cached
-// answers moved. In that case edits that netted out to nothing (add then
-// remove) swap nothing and keep the whole cache, and otherwise only
-// entries whose source lies in the delta-affected region are dropped, with
-// a full purge as fallback when scoping aborts (see live.AffectedSources)
-// or the node set changed. Once the served graph is no longer d's base —
-// after a previous sync of the same session, or when d was built over an
-// unrelated graph — the delta says nothing about the served graph, so
-// SyncDynamic always materialises, swaps and fully purges. (The streaming
-// path re-bases its edit session on every swap and never loses scoping
-// this way.)
-//
-// Deprecated: SyncDynamic serialises the caller's edits against its own
-// sync cadence and rebuilds from whatever Dynamic it is handed. New code
-// should attach a streaming write path with Engine.StartLive, which owns
-// batching, bounded staleness and concurrent writers.
-func (e *Engine) SyncDynamic(d *DynamicGraph) (bool, error) {
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
-	v := d.Version()
-	if v == e.dynVer {
-		return false, nil
-	}
-	adds, removes := d.PendingEdits()
-	old := e.Graph()
-	sameBase := old == d.Base()
-	if adds+removes == 0 && d.N() == old.N() && sameBase {
-		// Edits netted out (e.g. add then remove of the same edge) against
-		// the very graph being served: the current snapshot already IS the
-		// edited graph, so swapping or invalidating anything would only
-		// shed warm cache for nothing. Without the base match this
-		// conclusion is unsound — after a prior sync the engine serves an
-		// intermediate snapshot, and a session whose edits net to zero
-		// still means "back to the base", which that snapshot is not.
-		e.dynVer = v
-		return false, nil
-	}
-	added, removed := d.Edits()
-	snap, err := d.Snapshot()
-	if err != nil {
-		return false, err
-	}
-	var affected map[int32]struct{}
-	ok := false
-	if sameBase && snap.N() == old.N() {
-		// Node-set changes and foreign lineages always purge; edge-only
-		// deltas over the graph we are serving get scoped.
-		affected, ok = live.AffectedSources(old, live.ChangedSources(added, removed), e.affectConfig())
-	}
-	e.applyLiveSwap(snap, affected, !ok, nil)
-	e.dynVer = v
-	return true, nil
 }
 
 // EngineStats is a point-in-time snapshot of the serving counters, for
@@ -888,8 +702,8 @@ type EngineStats struct {
 	CacheBytes   int64
 	QueueDepth   int
 	Epoch        uint64
-	// Swaps counts snapshot/cache generations: every graph swap (scoped or
-	// full) and every Invalidate bumps it.
+	// Swaps counts snapshot/cache generations: every graph swap and every
+	// Invalidate bumps it.
 	Swaps uint64
 	// SnapshotRefs is the reference count of the current snapshot (1 plus
 	// the queries pinning it right now).
@@ -904,8 +718,6 @@ type EngineStats struct {
 	// sojourn control is disabled.
 	Sojourn   time.Duration
 	DrainRate float64
-	// Hot describes the hot-source walk-endpoint tier; nil when disabled.
-	Hot *HotStats
 }
 
 // Stats returns current serving counters.
@@ -916,12 +728,7 @@ func (e *Engine) Stats() EngineStats {
 	if c := e.inner.Codel(); c != nil {
 		sojourn, drain = c.Sojourn(), c.DrainRate()
 	}
-	var hot *HotStats
-	if e.hot != nil {
-		hot = e.hot.stats()
-	}
 	return EngineStats{
-		Hot:           hot,
 		PressureLevel: lvl.String(),
 		PressureLoads: loads,
 		Sojourn:       sojourn,

@@ -127,10 +127,18 @@ func TestEngineShedsUnderSaturation(t *testing.T) {
 	close(block)
 }
 
+// TestEngineInvalidationAfterDynamicRebuild: an answer served after a live
+// edit reflects the edit. The swap purges the cached pre-edit answer and
+// bumps the epoch, and the source recomputes on the rebuilt snapshot.
 func TestEngineInvalidationAfterDynamicRebuild(t *testing.T) {
 	g := GenerateBarabasiAlbert(120, 3, 13)
 	e := NewEngine(g, DefaultParams(g), EngineOptions{})
 	defer e.Close()
+	l, err := e.StartLive(LiveOptions{MaxStaleness: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	ctx := context.Background()
 
 	before, err := e.Query(ctx, 0)
@@ -140,25 +148,24 @@ func TestEngineInvalidationAfterDynamicRebuild(t *testing.T) {
 
 	// Rewire node 0: drop its current out-edges, point it at the far end
 	// of the id space. Its RWR vector must change materially.
-	d := NewDynamicGraph(g)
+	var remove [][2]int32
 	for _, w := range g.Out(0) {
-		if err := d.RemoveEdge(0, w); err != nil {
-			t.Fatal(err)
+		if w != 119 {
+			remove = append(remove, [2]int32{0, w})
 		}
 	}
-	if err := d.AddEdge(0, 119); err != nil {
+	if _, err := l.Apply([][2]int32{{0, 119}}, remove); err != nil {
 		t.Fatal(err)
 	}
-
-	refreshed, err := e.SyncDynamic(d)
+	swapped, err := l.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !refreshed {
-		t.Fatal("SyncDynamic did not refresh after edits")
+	if !swapped {
+		t.Fatal("flush did not swap after edits")
 	}
-	if refreshed, _ := e.SyncDynamic(d); refreshed {
-		t.Fatal("SyncDynamic refreshed twice for the same version")
+	if swapped, _ := l.Flush(); swapped {
+		t.Fatal("flush swapped twice for the same edits")
 	}
 	if e.Stats().CacheEntries != 0 {
 		t.Fatalf("cache not purged: %d entries", e.Stats().CacheEntries)
@@ -315,189 +322,13 @@ func TestEngineParamsFingerprintSeparatesEngines(t *testing.T) {
 	}
 }
 
-// TestEngineSyncDynamicNetZeroIsNoOp: an edit session whose edits cancel
-// out (add then remove the same edge) must not rebuild, purge, or bump
-// anything — only the version watermark advances.
-func TestEngineSyncDynamicNetZeroIsNoOp(t *testing.T) {
-	e, g := testEngine(t, EngineOptions{})
-	ctx := context.Background()
-	if _, err := e.Query(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	d := NewDynamicGraph(g)
-	u, v := int32(7), int32(211)
-	if g.HasEdge(u, v) {
-		t.Fatalf("test edge %d->%d already present", u, v)
-	}
-	if err := d.AddEdge(u, v); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveEdge(u, v); err != nil {
-		t.Fatal(err)
-	}
-	refreshed, err := e.SyncDynamic(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refreshed {
-		t.Fatal("net-zero edit session triggered a rebuild")
-	}
-	st := e.Stats()
-	if st.CacheEntries != 1 || st.Epoch != 0 {
-		t.Fatalf("net-zero sync disturbed the cache: %+v", st)
-	}
-	// The watermark advanced: syncing again without edits is also a no-op.
-	if refreshed, _ := e.SyncDynamic(d); refreshed {
-		t.Fatal("second sync of the same version refreshed")
-	}
-}
-
-// TestEngineSyncDynamicScopedInvalidation: when the edit's source endpoint
-// is unreachable from other nodes (no in-edges), the delta-affected region
-// is just that node, so cached results for other sources survive the swap
-// and the cache epoch stays put.
-func TestEngineSyncDynamicScopedInvalidation(t *testing.T) {
-	// Directed graph: a cycle over 0..9 keeps every node out-degree ≥ 1,
-	// and node 10 points into the cycle with nothing pointing back at it.
-	b := NewGraphBuilder(12)
-	for i := int32(0); i < 10; i++ {
-		b.AddEdge(i, (i+1)%10)
-	}
-	b.AddEdge(10, 0)
-	b.AddEdge(11, 10) // 11 reaches 10; nothing reaches 11
-	g := b.MustBuild()
-	e := NewEngine(g, DefaultParams(g), EngineOptions{})
-	defer e.Close()
-	ctx := context.Background()
-
-	for _, s := range []int32{2, 5, 11} {
-		if _, err := e.Query(ctx, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Stats().CacheEntries != 3 {
-		t.Fatalf("warm entries=%d, want 3", e.Stats().CacheEntries)
-	}
-
-	d := NewDynamicGraph(g)
-	if err := d.AddEdge(11, 4); err != nil { // changed source 11: in-degree 0
-		t.Fatal(err)
-	}
-	refreshed, err := e.SyncDynamic(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !refreshed {
-		t.Fatal("edit did not refresh the engine")
-	}
-	st := e.Stats()
-	if st.Epoch != 0 {
-		t.Fatalf("scoped sync bumped the epoch: %+v", st)
-	}
-	if st.CacheEntries != 2 {
-		t.Fatalf("want only source 11 invalidated, cache has %d entries", st.CacheEntries)
-	}
-	if !e.Graph().HasEdge(11, 4) {
-		t.Fatal("engine not serving the edited graph")
-	}
-	// Sources 2 and 5 still hit; source 11 recomputes.
-	hits0 := st.Hits
-	for _, s := range []int32{2, 5} {
-		if _, err := e.Query(ctx, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := e.Stats().Hits - hits0; got != 2 {
-		t.Fatalf("surviving entries got %v hits, want 2", got)
-	}
-	res, err := e.Query(ctx, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scores[4] == 0 {
-		t.Fatal("recomputed source 11 does not see the new edge")
-	}
-}
-
-// TestEngineSyncDynamicReSyncAfterNetZero: SyncDynamic never re-bases the
-// caller's Dynamic, so after one sync the session's edits no longer
-// describe the served graph. The regression: add e → sync (engine serves a
-// snapshot WITH e) → remove e → sync. The session's pending edits are now
-// (0,0), but treating that as "nothing to do" would leave the engine
-// serving the deleted edge forever; the second sync must swap back to the
-// edge-free graph and purge.
-func TestEngineSyncDynamicReSyncAfterNetZero(t *testing.T) {
-	e, g := testEngine(t, EngineOptions{})
-	ctx := context.Background()
-
-	d := NewDynamicGraph(g)
-	u, v := int32(7), int32(211)
-	if g.HasEdge(u, v) {
-		t.Fatalf("test edge %d->%d already present", u, v)
-	}
-	if err := d.AddEdge(u, v); err != nil {
-		t.Fatal(err)
-	}
-	if refreshed, err := e.SyncDynamic(d); err != nil || !refreshed {
-		t.Fatalf("first sync: refreshed=%v err=%v", refreshed, err)
-	}
-	if !e.Graph().HasEdge(u, v) {
-		t.Fatal("engine not serving the added edge after first sync")
-	}
-	before, err := e.Query(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Scores[v] == 0 {
-		t.Fatalf("source %d does not see the added edge", u)
-	}
-
-	if err := d.RemoveEdge(u, v); err != nil {
-		t.Fatal(err)
-	}
-	refreshed, err := e.SyncDynamic(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !refreshed {
-		t.Fatal("net-zero session over a superseded base reported nothing to do")
-	}
-	if e.Graph().HasEdge(u, v) {
-		t.Fatal("engine still serving the deleted edge after re-sync")
-	}
-	// The session base no longer matches the served graph, so the swap
-	// must have purged rather than trusting the cumulative (empty) delta.
-	if st := e.Stats(); st.CacheEntries != 0 {
-		t.Fatalf("stale entries survived the re-sync: %+v", st)
-	}
-	after, err := e.Query(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Scores[v] >= before.Scores[v] {
-		t.Fatalf("score to removed neighbour did not drop: before=%g after=%g",
-			before.Scores[v], after.Scores[v])
-	}
-}
-
-// TestEngineComputeStraddlingScopedSwapNotCached: a computation that
-// pinned the pre-swap snapshot and finishes after a scoped swap must not
-// land in the cache — the key epoch is unchanged by a scoped swap, so only
-// the put gate (entry snapshot epoch vs currently published snapshot
-// epoch) stands between the swap's invalidation sweep and a stale answer
-// for an affected source surviving indefinitely.
-func TestEngineComputeStraddlingScopedSwapNotCached(t *testing.T) {
-	// Directed: a cycle over 0..9, 11→10→0; node 11 has no in-edges, so an
-	// edit sourced at 11 scopes to exactly {11}.
-	b := NewGraphBuilder(12)
-	for i := int32(0); i < 10; i++ {
-		b.AddEdge(i, (i+1)%10)
-	}
-	b.AddEdge(10, 0)
-	b.AddEdge(11, 10)
-	g := b.MustBuild()
-
+// TestEngineComputeStraddlingLiveSwapNotCached: a computation that pinned
+// the pre-swap snapshot and finishes after a live swap must not be served
+// afterwards. The swap purges and bumps the key epoch, and the put gate
+// refuses the straddling result, so the next query recomputes against the
+// new snapshot.
+func TestEngineComputeStraddlingLiveSwapNotCached(t *testing.T) {
+	g := GenerateBarabasiAlbert(120, 3, 13)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var calls atomic.Int32
@@ -510,7 +341,7 @@ func TestEngineComputeStraddlingScopedSwapNotCached(t *testing.T) {
 	}
 	e := NewEngine(g, DefaultParams(g), EngineOptions{Compute: compute})
 	defer e.Close()
-	l, err := e.StartLive(LiveOptions{MaxStaleness: time.Hour, Tolerance: 0.05})
+	l, err := e.StartLive(LiveOptions{MaxStaleness: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,63 +354,23 @@ func TestEngineComputeStraddlingScopedSwapNotCached(t *testing.T) {
 	}()
 	<-started // the computation has pinned the pre-swap snapshot
 
-	if _, err := l.Apply([][2]int32{{11, 4}}, nil); err != nil {
+	if _, err := l.Apply([][2]int32{tailEdit(g)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if swapped, err := l.Flush(); err != nil || !swapped {
 		t.Fatalf("flush: swapped=%v err=%v", swapped, err)
 	}
-	if st := l.Stats(); st.ScopedSwaps != 1 {
-		// A full purge would bump the key epoch and mask the gate.
-		t.Fatalf("swap not scoped: %+v", st)
-	}
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-
-	// The straddling result must have been refused by the put gate, so the
-	// same query recomputes against the new snapshot instead of hitting a
-	// stale entry.
+	if n := e.Stats().CacheEntries; n != 0 {
+		t.Fatalf("straddling result cached after the swap: %d entries", n)
+	}
 	if _, err := e.Query(context.Background(), 11); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("straddling result was served from cache: computes=%d, want 2", got)
-	}
-}
-
-// TestEngineSyncDynamicForeignBasePurges: a Dynamic built over a graph the
-// engine never served gets no scoped invalidation — its cumulative edits
-// describe the wrong delta — so the sync must swap in the snapshot and
-// purge the whole cache (epoch bump).
-func TestEngineSyncDynamicForeignBasePurges(t *testing.T) {
-	e, g := testEngine(t, EngineOptions{})
-	ctx := context.Background()
-	if _, err := e.Query(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	other := GenerateBarabasiAlbert(g.N(), 3, 99) // same n, different lineage
-	d := NewDynamicGraph(other)
-	if err := d.AddEdge(7, 211); err != nil {
-		t.Fatal(err)
-	}
-	refreshed, err := e.SyncDynamic(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !refreshed {
-		t.Fatal("foreign-base sync did not refresh")
-	}
-	st := e.Stats()
-	if st.Epoch != 1 {
-		t.Fatalf("foreign-base sync did not purge fully: %+v", st)
-	}
-	if st.CacheEntries != 0 {
-		t.Fatalf("stale entries survived a foreign-base sync: %+v", st)
-	}
-	if !e.Graph().HasEdge(7, 211) {
-		t.Fatal("engine not serving the foreign snapshot")
 	}
 }

@@ -16,11 +16,6 @@ type RemedyStats struct {
 	// Walks is the number of walks actually simulated (ceilings and the
 	// MaxWalks cap make it differ from NR).
 	Walks int64
-	// Reused is the number of stored walk endpoints replayed instead of
-	// simulated (RemedyWSHot with a hot endpoint set only). Reused walks
-	// carry the same per-walk increment as fresh ones and do not count
-	// against MaxWalks or Walks.
-	Reused int64
 	// Aborted reports that a context deadline/cancellation stopped the walk
 	// simulation early (ctx-aware variants only).
 	Aborted bool

@@ -9,7 +9,6 @@ import (
 	"resacc/internal/crash"
 	"resacc/internal/faultinject"
 	"resacc/internal/graph"
-	"resacc/internal/hotset"
 	"resacc/internal/ws"
 )
 
@@ -65,32 +64,8 @@ func RemedyWSCtx(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers
 // different (equally valid, same ε/δ guarantee) estimates. Per (seed,
 // workers, tab-present) the result is still fully deterministic.
 func RemedyWSTab(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers int, tab *alias.Table, done <-chan struct{}) RemedyStats {
-	return RemedyWSHot(g, p, w, seed, workers, tab, nil, done)
-}
-
-// RemedyWSHot is RemedyWSTab with an optional stored endpoint set for the
-// query's source (FORA+'s walk-index reuse, specialised to the hot head):
-// for each walk-start candidate v that the set covers with ω(v) recorded
-// endpoints, the phase replays those endpoints instead of simulating, and
-// only simulates the shortfall when the candidate needs n_v > ω(v) walks.
-// The per-walk increment becomes r(v)/total with total = ω(v) when
-// ω(v) ≥ n_v, else ω(v)+fresh — each replayed endpoint was drawn from
-// exactly the same walk distribution as a fresh one (same graph snapshot,
-// same alpha; the store's epoch discipline guarantees the snapshot), so the
-// estimator stays unbiased for any total ≥ 1 and the ε·max(π, 1/n)
-// guarantee is preserved. Fresh walks alone count against MaxWalks and
-// Walks; replays are reported in Reused.
-//
-// A set built at the query's own (seed, NScale) covers every candidate with
-// ω(v) ≥ n_v — the push phases are deterministic per (graph, params,
-// source), so residues match the build exactly — making the hot path
-// walk-free. With set == nil the phase is bit-identical to RemedyWSTab.
-func RemedyWSHot(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers int, tab *alias.Table, set *hotset.Set, done <-chan struct{}) RemedyStats {
 	if tab != nil && (tab.Alpha() != p.Alpha || tab.N() != g.N()) {
 		tab = nil
-	}
-	if set != nil && set.N != g.N() {
-		set = nil // node count moved under the set: ids are not comparable
 	}
 	var st RemedyStats
 	w.Cands = w.Cands[:0]
@@ -118,73 +93,30 @@ func RemedyWSHot(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers
 	if workers <= 1 {
 		w.Rng.Reseed(seed)
 		// remaining tracks the residue mass not yet converted by walks:
-		// completing k of a node's total walks at increment r(v)/total
-		// converts exactly (k/total)·r(v), so mid-node aborts subtract
-		// k·inc (replayed endpoints count as already-completed walks).
+		// completing k of a node's n_v walks at increment r(v)/n_v converts
+		// exactly (k/n_v)·r(v), so mid-node aborts subtract k·inc.
 		remaining := st.RSum
 		var wdone int64
-		var cur int // merge cursor into set.Nodes (both slices ascending)
 		for _, v := range w.Cands {
 			rv := w.Residue[v]
 			nv := int64(math.Ceil(rv * st.NR / st.RSum))
 			if nv < 1 {
 				nv = 1
 			}
-			var omega int64
-			var lo, hi int32
-			if set != nil {
-				for cur < len(set.Nodes) && set.Nodes[cur] < v {
-					cur++
-				}
-				if cur < len(set.Nodes) && set.Nodes[cur] == v && set.Omega[cur] > 0 {
-					omega, lo, hi = set.Omega[cur], set.Off[cur], set.Off[cur+1]
-				}
-				if omega > 0 && done != nil {
-					// Replays are not individually abortable; poll once per
-					// covered candidate before committing to its replay.
-					select {
-					case <-done:
-						st.Aborted = true
-						st.Remaining = remaining
-						AddWalks(st.Walks)
-						return st
-					default:
-					}
-				}
-			}
-			if omega >= nv && omega > 0 {
-				// Full reuse: the stored multiset covers the whole demand.
-				// Replay at r(v)/ω so the converted mass is exactly r(v);
-				// no budget charge, no rng consumption.
-				inc := rv / float64(omega)
-				for j := lo; j < hi; j++ {
-					w.AddReserve(set.Targets[j], float64(set.Counts[j])*inc)
-				}
-				st.Reused += omega
-				remaining -= rv
-				continue
-			}
-			fresh := nv - omega
-			if st.Walks+fresh > budget {
-				fresh = budget - st.Walks
-				if fresh <= 0 {
+			if st.Walks+nv > budget {
+				nv = budget - st.Walks
+				if nv <= 0 {
 					break
 				}
 			}
-			inc := rv / float64(omega+fresh)
-			if omega > 0 {
-				for j := lo; j < hi; j++ {
-					w.AddReserve(set.Targets[j], float64(set.Counts[j])*inc)
-				}
-				st.Reused += omega
-			}
-			for i := int64(0); i < fresh; i++ {
+			inc := rv / float64(nv)
+			for i := int64(0); i < nv; i++ {
 				if done != nil && wdone&walkCheckMask == 0 {
 					select {
 					case <-done:
 						st.Walks += i
 						st.Aborted = true
-						st.Remaining = remaining - float64(omega+i)*inc
+						st.Remaining = remaining - float64(i)*inc
 						AddWalks(st.Walks)
 						return st
 					default:
@@ -199,7 +131,7 @@ func RemedyWSHot(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers
 				}
 				w.AddReserve(t, inc)
 			}
-			st.Walks += fresh
+			st.Walks += nv
 			remaining -= rv
 		}
 		AddWalks(st.Walks)
@@ -208,58 +140,28 @@ func RemedyWSHot(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers
 
 	// Plan the walk assignment sequentially (cheap) so the MaxWalks cap
 	// behaves exactly like the sequential phase, then execute in parallel.
-	// Stored endpoints are replayed here on the caller — replay is a
-	// memory-bound traversal that would not benefit from the walk workers —
-	// and only the fresh shortfall is planned into jobs.
 	w.JobNodes = w.JobNodes[:0]
 	w.JobCounts = w.JobCounts[:0]
 	w.JobIncs = w.JobIncs[:0]
 	var plannedMass float64
-	var cur int
 	for _, v := range w.Cands {
 		rv := w.Residue[v]
 		nv := int64(math.Ceil(rv * st.NR / st.RSum))
 		if nv < 1 {
 			nv = 1
 		}
-		var omega int64
-		var lo, hi int32
-		if set != nil {
-			for cur < len(set.Nodes) && set.Nodes[cur] < v {
-				cur++
-			}
-			if cur < len(set.Nodes) && set.Nodes[cur] == v && set.Omega[cur] > 0 {
-				omega, lo, hi = set.Omega[cur], set.Off[cur], set.Off[cur+1]
-			}
-		}
-		if omega >= nv && omega > 0 {
-			inc := rv / float64(omega)
-			for j := lo; j < hi; j++ {
-				w.AddReserve(set.Targets[j], float64(set.Counts[j])*inc)
-			}
-			st.Reused += omega
-			plannedMass += float64(omega) * inc
-			continue
-		}
-		fresh := nv - omega
-		if st.Walks+fresh > budget {
-			fresh = budget - st.Walks
-			if fresh <= 0 {
+		if st.Walks+nv > budget {
+			nv = budget - st.Walks
+			if nv <= 0 {
 				break
 			}
 		}
-		inc := rv / float64(omega+fresh)
-		if omega > 0 {
-			for j := lo; j < hi; j++ {
-				w.AddReserve(set.Targets[j], float64(set.Counts[j])*inc)
-			}
-			st.Reused += omega
-		}
+		inc := rv / float64(nv)
 		w.JobNodes = append(w.JobNodes, v)
-		w.JobCounts = append(w.JobCounts, fresh)
+		w.JobCounts = append(w.JobCounts, nv)
 		w.JobIncs = append(w.JobIncs, inc)
-		plannedMass += float64(omega+fresh) * inc
-		st.Walks += fresh
+		plannedMass += float64(nv) * inc
+		st.Walks += nv
 	}
 
 	// Idle workers would each borrow, merge and return an empty

@@ -29,7 +29,6 @@ import (
 	"resacc/internal/crash"
 	"resacc/internal/faultinject"
 	"resacc/internal/graph"
-	"resacc/internal/hotset"
 	"resacc/internal/ws"
 )
 
@@ -115,13 +114,6 @@ type Stats struct {
 	RSumAfterHop, RSumAfterOMFWD float64
 	// Walks is the number of remedy random walks simulated.
 	Walks int64
-	// HotSet reports that a stored endpoint set was attached for this query
-	// (Solver.Endpoints); ReusedWalks is how many stored walk endpoints the
-	// remedy phase replayed instead of simulating. HotSet with Walks == 0 is
-	// a full hit (the remedy phase simulated nothing); HotSet with
-	// Walks > 0 is a partial hit (the set covered only part of the demand).
-	HotSet      bool
-	ReusedWalks int64
 	// HopRounds and OMFWDRounds count the round-synchronous parallel
 	// drain's rounds per push phase, and MaxFrontier is the largest
 	// frontier either phase snapshot. All zero when the sequential drain
@@ -168,9 +160,6 @@ func (s Stats) String() string {
 	}
 	if s.HopSweeps > 0 || s.OMFWDSweeps > 0 {
 		line += fmt.Sprintf(" dense-push (sweeps=%d+%d)", s.HopSweeps, s.OMFWDSweeps)
-	}
-	if s.HotSet {
-		line += fmt.Sprintf(" hot (reused=%d)", s.ReusedWalks)
 	}
 	if s.Degraded {
 		line += fmt.Sprintf(" DEGRADED (phase=%s bound=%.3g)", s.DegradedPhase, s.ResidualBound)
@@ -221,14 +210,6 @@ type Solver struct {
 	// same distribution, same ε/δ guarantee — and stay deterministic per
 	// (Seed, Workers, table-present).
 	Alias *alias.Table
-	// Endpoints, when non-nil, is a stored walk-endpoint set for the query's
-	// source (built by BuildEndpointSet against the same graph and params):
-	// the remedy phase replays its endpoints instead of simulating, sampling
-	// only the shortfall when a candidate needs more walks than the set
-	// recorded (see algo.RemedyWSHot). The caller — in practice the serving
-	// engine's hot tier — is responsible for attaching a set only when it is
-	// valid for exactly this graph snapshot.
-	Endpoints *hotset.Set
 	// ScoreRemap, when non-nil, is the relabeled→original id permutation
 	// (graph.RelabelByDegree's toOld) applied as scores are extracted: the
 	// query runs in the relabeled id space and the answer comes out in the
@@ -400,11 +381,9 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 	// Phase 3: remedy.
 	faultinject.Hit("core.remedy.start")
 	start = time.Now()
-	rs := algo.RemedyWSHot(g, p, w, p.Seed, s.Workers, s.Alias, s.Endpoints, done)
+	rs := algo.RemedyWSTab(g, p, w, p.Seed, s.Workers, s.Alias, done)
 	stats.Remedy = time.Since(start)
 	stats.Walks = rs.Walks
-	stats.HotSet = s.Endpoints != nil
-	stats.ReusedWalks = rs.Reused
 	if rs.Aborted {
 		stats.Degraded = true
 		stats.DegradedPhase = PhaseRemedy

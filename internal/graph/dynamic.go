@@ -58,13 +58,6 @@ func NewDynamic(g *Graph) *Dynamic {
 // N returns the current node count (base nodes plus added ones).
 func (d *Dynamic) N() int { return d.n }
 
-// Base returns the immutable graph this edit session started from. Edits,
-// PendingEdits and Snapshot are all relative to it: serving layers compare
-// Base against the graph they are currently serving to decide whether the
-// session's cumulative delta describes that graph (scoped invalidation is
-// sound) or some other lineage (only a full rebuild+purge is).
-func (d *Dynamic) Base() *Graph { return d.base }
-
 // PendingEdits returns the number of recorded insertions and deletions.
 func (d *Dynamic) PendingEdits() (adds, removes int) {
 	return len(d.added), len(d.removed)
@@ -225,9 +218,9 @@ func (d *Dynamic) IsolateNode(v int32) error {
 }
 
 // Edits returns the pending edit set relative to the base graph: the edges
-// this session would insert and delete, in no particular order. Serving
-// layers use it to compute the delta-affected region of a snapshot swap
-// (the changed out-rows are exactly the distinct source endpoints).
+// this session would insert and delete, in no particular order. The live
+// write path hands it to swap observers so they can replay exactly the
+// delta a snapshot applied.
 func (d *Dynamic) Edits() (added, removed [][2]int32) {
 	decode := func(m map[int64]struct{}) [][2]int32 {
 		if len(m) == 0 {

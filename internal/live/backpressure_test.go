@@ -9,13 +9,12 @@ import (
 	"resacc/internal/pressure"
 )
 
-func noSwap(*graph.Graph, map[int32]struct{}, bool, func()) int { return 0 }
+func noSwap(*graph.Graph, func()) int { return 0 }
 
 func TestManagerBacklogRejectsWholeBatch(t *testing.T) {
 	g := chain(t, 64)
 	m := NewManager(g, noSwap, Config{
-		MaxStaleness: time.Hour, MaxPending: 100, MaxBacklog: 4,
-		Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+		MaxStaleness: time.Hour, MaxPending: 100, MaxBacklog: 4})
 	defer m.Close()
 
 	if _, err := m.Apply([][2]int32{{0, 9}, {0, 10}, {0, 11}}, nil); err != nil {
@@ -52,8 +51,7 @@ func TestManagerBacklogRejectsWholeBatch(t *testing.T) {
 func TestManagerBacklogFrac(t *testing.T) {
 	g := chain(t, 64)
 	m := NewManager(g, noSwap, Config{
-		MaxStaleness: time.Hour, MaxPending: 100, MaxBacklog: 10,
-		Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+		MaxStaleness: time.Hour, MaxPending: 100, MaxBacklog: 10})
 	defer m.Close()
 	if f := m.BacklogFrac(); f != 0 {
 		t.Fatalf("empty BacklogFrac = %v, want 0", f)
@@ -71,8 +69,7 @@ func TestManagerBacklogFrac(t *testing.T) {
 func TestManagerRetryAfterBounds(t *testing.T) {
 	g := chain(t, 64)
 	m := NewManager(g, noSwap, Config{
-		MaxStaleness: 1500 * time.Millisecond, MaxPending: 100, MaxBacklog: 2,
-		Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+		MaxStaleness: 1500 * time.Millisecond, MaxPending: 100, MaxBacklog: 2})
 	defer m.Close()
 	if _, err := m.Apply([][2]int32{{0, 9}, {0, 10}}, nil); err != nil {
 		t.Fatal(err)
@@ -97,12 +94,11 @@ func TestManagerRetryAfterBounds(t *testing.T) {
 func TestManagerMinSwapGapDefersInlineSwap(t *testing.T) {
 	g := chain(t, 64)
 	swaps := 0
-	m := NewManager(g, func(*graph.Graph, map[int32]struct{}, bool, func()) int {
+	m := NewManager(g, func(*graph.Graph, func()) int {
 		swaps++
 		return 0
 	}, Config{
-		MaxStaleness: 40 * time.Millisecond, MaxPending: 2, MinSwapGap: time.Hour,
-		Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+		MaxStaleness: 40 * time.Millisecond, MaxPending: 2, MinSwapGap: time.Hour})
 	defer m.Close()
 
 	// First MaxPending trip swaps inline (no previous swap to throttle on).

@@ -21,11 +21,11 @@ func TestChaosSwapPanicKeepsOldSnapshot(t *testing.T) {
 	g := chain(t, 16)
 	swaps := 0
 	var published *graph.Graph
-	m := NewManager(g, func(ng *graph.Graph, _ map[int32]struct{}, _ bool, _ func()) int {
+	m := NewManager(g, func(ng *graph.Graph, _ func()) int {
 		swaps++
 		published = ng
 		return 0
-	}, Config{MaxStaleness: time.Hour, Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	}, Config{MaxStaleness: time.Hour})
 	defer m.Close()
 
 	faultinject.Set("live.swap", func() { panic("chaos: swap") })
@@ -65,10 +65,10 @@ func TestChaosSwapPanicTimerRetries(t *testing.T) {
 	defer faultinject.Reset()
 	g := chain(t, 16)
 	done := make(chan struct{})
-	m := NewManager(g, func(*graph.Graph, map[int32]struct{}, bool, func()) int {
+	m := NewManager(g, func(*graph.Graph, func()) int {
 		close(done)
 		return 0
-	}, Config{MaxStaleness: 15 * time.Millisecond, Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	}, Config{MaxStaleness: 15 * time.Millisecond})
 	defer m.Close()
 
 	armed := true

@@ -3,22 +3,13 @@
 // batches and coalesces concurrent edge insertions/deletions on top of a
 // single-writer graph.Dynamic, materialises RCU-style immutable CSR
 // snapshots (Snapshot), and publishes them through a caller-supplied swap
-// callback under live query traffic. Instead of purging every cached
-// result on a swap, it computes the delta-affected region — the changed
-// out-rows plus the backward pushed-offset neighbourhood à la OSP (Yoon et
-// al., arXiv:1712.00595) — so only answers the edit can actually have
-// moved are invalidated (see AffectedSources).
+// callback under live query traffic; the serving layer purges its result
+// cache on every swap.
 //
-// Staleness contract, two independent knobs:
-//
-//   - Time: an accepted edit becomes visible in served snapshots within
-//     Config.MaxStaleness (or sooner, when Config.MaxPending edits pile
-//     up or Flush forces a swap). Queries keep serving the previous
-//     snapshot while the next one is built — the write path never blocks
-//     the read path.
-//   - Score: a cached answer that survives a scoped swap is exact for a
-//     recent snapshot and within Config.Affect.Tolerance (absolute, per
-//     node) of the current one.
+// Staleness contract: an accepted edit becomes visible in served snapshots
+// within Config.MaxStaleness, or sooner when Config.MaxPending edits pile
+// up or Flush forces a swap. Queries keep serving the previous snapshot
+// while the next one is built — the write path never blocks the read path.
 package live
 
 import (
@@ -44,24 +35,21 @@ var ErrClosed = errors.New("live: manager closed")
 // HTTP 429 + Retry-After.
 var ErrBacklog = errors.New("live: pending-edit backlog full, batch rejected")
 
-// SwapFunc publishes a freshly built snapshot to the serving layer. full
-// reports that scoping aborted and every cached entry must go; otherwise
-// affected is the set of sources whose cache entries to invalidate.
-// onRetire must be attached to the published snapshot so it runs when the
-// last in-flight query releases it. It returns how many cache entries were
-// invalidated. It is called with the manager's write lock held and must
-// not call back into the Manager.
-type SwapFunc func(g *graph.Graph, affected map[int32]struct{}, full bool, onRetire func()) (invalidated int)
+// SwapFunc publishes a freshly built snapshot to the serving layer and
+// invalidates its cached answers. onRetire must be attached to the
+// published snapshot so it runs when the last in-flight query releases it.
+// It returns how many cache entries were invalidated. It is called with
+// the manager's write lock held and must not call back into the Manager.
+type SwapFunc func(g *graph.Graph, onRetire func()) (invalidated int)
 
-// Config tunes a Manager. The zero value gets 500ms max staleness, a
-// 1024-edit pending cap, and the AffectConfig defaults.
+// Config tunes a Manager. The zero value gets 500ms max staleness and a
+// 1024-edit pending cap.
 type Config struct {
 	// MaxStaleness bounds how long an accepted edit may wait before a
 	// snapshot swap makes it visible (≤ 0 = 500ms).
 	MaxStaleness time.Duration
 	// MaxPending forces an immediate swap once this many edits are
-	// pending (≤ 0 = 1024), bounding both swap cost and the offset the
-	// affected-region expansion must cover.
+	// pending (≤ 0 = 1024), bounding the cost of one snapshot build.
 	MaxPending int
 	// MaxBacklog bounds the pending-edit backlog outright: an Apply batch
 	// that would push past it is rejected whole with ErrBacklog instead of
@@ -78,13 +66,9 @@ type Config struct {
 	// the workers could use). The MaxStaleness timer ignores the gap, so
 	// the staleness contract still holds (≤ 0 = no throttle).
 	MinSwapGap time.Duration
-	// Affect tunes the scoped-invalidation expansion; Alpha and Tolerance
-	// must be set by the caller (the engine facade derives them from its
-	// query parameters).
-	Affect AffectConfig
 	// Metrics, when non-nil, receives the mutation metric families
 	// (rwr_graph_swaps_total, rwr_edges_applied_total{op},
-	// rwr_cache_invalidations_total{scope}, rwr_graph_swap_seconds, and
+	// rwr_cache_invalidations_total, rwr_graph_swap_seconds, and
 	// pending/epoch gauges).
 	Metrics *obs.Registry
 	// OnSwap, when non-nil, observes every successful swap under the
@@ -121,17 +105,16 @@ type Manager struct {
 	ownMu sync.Mutex
 	owned map[*graph.Graph]struct{}
 
-	added, removed, noops      atomic.Uint64
-	swaps, scoped, fulls       atomic.Uint64
-	swapFailures               atomic.Uint64
-	invalidated                atomic.Uint64
-	retiredSnaps               atomic.Uint64
-	rejected                   atomic.Uint64
-	lastSwapNanos              atomic.Int64
-	mSwaps, mInvScoped         *obs.Counter
-	mInvFull, mAddOps, mRemOps *obs.Counter
-	mRejected                  *obs.Counter
-	mSwapDur                   *obs.Histogram
+	added, removed, noops atomic.Uint64
+	swaps, swapFailures   atomic.Uint64
+	invalidated           atomic.Uint64
+	retiredSnaps          atomic.Uint64
+	rejected              atomic.Uint64
+	lastSwapNanos         atomic.Int64
+	mSwaps, mInv          *obs.Counter
+	mAddOps, mRemOps      *obs.Counter
+	mRejected             *obs.Counter
+	mSwapDur              *obs.Histogram
 }
 
 // NewManager starts a write path over base, publishing snapshots through
@@ -156,14 +139,13 @@ func NewManager(base *graph.Graph, swap SwapFunc, cfg Config) *Manager {
 	if reg := cfg.Metrics; reg != nil {
 		m.mSwaps = reg.Counter("rwr_graph_swaps_total",
 			"Live snapshot swaps published under traffic.")
-		const invHelp = "Result-cache entries invalidated by live snapshot swaps, by scope."
-		m.mInvScoped = reg.Counter("rwr_cache_invalidations_total", invHelp, "scope", "scoped")
-		m.mInvFull = reg.Counter("rwr_cache_invalidations_total", invHelp, "scope", "full")
+		m.mInv = reg.Counter("rwr_cache_invalidations_total",
+			"Result-cache entries invalidated by live snapshot swaps.")
 		const appHelp = "Edge edits applied through the live write path, by operation."
 		m.mAddOps = reg.Counter("rwr_edges_applied_total", appHelp, "op", "add")
 		m.mRemOps = reg.Counter("rwr_edges_applied_total", appHelp, "op", "remove")
 		m.mSwapDur = reg.Histogram("rwr_graph_swap_seconds",
-			"Latency of live snapshot swaps (build + affected-region + publish).",
+			"Latency of live snapshot swaps (build + publish + purge).",
 			obs.DefBuckets)
 		m.mRejected = reg.Counter("rwr_live_backlog_rejected_total",
 			"Apply batches rejected because the pending-edit backlog was full.")
@@ -350,7 +332,6 @@ func (m *Manager) swapLocked() (err error) {
 	if err != nil {
 		return err
 	}
-	affected, ok := AffectedSources(m.base, ChangedSources(added, removed), m.cfg.Affect)
 
 	// Chaos point: a fault here proves a failed swap leaves the previous
 	// snapshot serving and the edit backlog intact.
@@ -374,7 +355,7 @@ func (m *Manager) swapLocked() (err error) {
 			m.ownMu.Unlock()
 		}
 	}()
-	invalidated := m.swap(g, affected, !ok, func() {
+	invalidated := m.swap(g, func() {
 		m.ownMu.Lock()
 		delete(m.owned, g)
 		m.ownMu.Unlock()
@@ -397,21 +378,11 @@ func (m *Manager) swapLocked() (err error) {
 
 	m.swaps.Add(1)
 	m.invalidated.Add(uint64(invalidated))
-	if ok {
-		m.scoped.Add(1)
-		if m.mInvScoped != nil {
-			m.mInvScoped.Add(float64(invalidated))
-		}
-	} else {
-		m.fulls.Add(1)
-		if m.mInvFull != nil {
-			m.mInvFull.Add(float64(invalidated))
-		}
-	}
 	dur := time.Since(start)
 	m.lastSwapNanos.Store(int64(dur))
 	if m.mSwaps != nil {
 		m.mSwaps.Inc()
+		m.mInv.Add(float64(invalidated))
 		m.mSwapDur.Observe(dur.Seconds())
 	}
 	if m.cfg.OnSwap != nil {
@@ -537,10 +508,10 @@ type Stats struct {
 	PendingAdds, PendingRemoves int
 	// EdgesAdded/EdgesRemoved/EdgeNoops count Apply ops by effect.
 	EdgesAdded, EdgesRemoved, EdgeNoops uint64
-	// Swaps = ScopedSwaps + FullSwaps; SwapFailures counts contained swap
-	// panics/errors (the old snapshot kept serving).
-	Swaps, ScopedSwaps, FullSwaps, SwapFailures uint64
-	// Invalidated counts cache entries evicted by swaps (both scopes).
+	// Swaps counts published snapshot swaps; SwapFailures counts contained
+	// swap panics/errors (the old snapshot kept serving).
+	Swaps, SwapFailures uint64
+	// Invalidated counts cache entries evicted by swaps.
 	Invalidated uint64
 	// RejectedBacklog counts Apply batches refused because the backlog
 	// was full.
@@ -568,8 +539,6 @@ func (m *Manager) Stats() Stats {
 		EdgesRemoved:     m.removed.Load(),
 		EdgeNoops:        m.noops.Load(),
 		Swaps:            m.swaps.Load(),
-		ScopedSwaps:      m.scoped.Load(),
-		FullSwaps:        m.fulls.Load(),
 		SwapFailures:     m.swapFailures.Load(),
 		Invalidated:      m.invalidated.Load(),
 		RejectedBacklog:  m.rejected.Load(),

@@ -6,10 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"resacc/internal/algo"
-	"resacc/internal/algo/power"
 	"resacc/internal/graph"
-	"resacc/internal/graph/gen"
 )
 
 // chain builds the path 0→1→…→n-1.
@@ -71,13 +68,13 @@ func TestSwapCallbackPanicDoesNotLeakOwnership(t *testing.T) {
 	g := chain(t, 16)
 	fail := true
 	var published *graph.Graph
-	m := NewManager(g, func(ng *graph.Graph, _ map[int32]struct{}, _ bool, _ func()) int {
+	m := NewManager(g, func(ng *graph.Graph, _ func()) int {
 		if fail {
 			panic("test: swap callback")
 		}
 		published = ng
 		return 0
-	}, Config{MaxStaleness: time.Hour, Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	}, Config{MaxStaleness: time.Hour})
 	defer m.Close()
 
 	if _, err := m.Apply([][2]int32{{0, 9}}, nil); err != nil {
@@ -107,112 +104,18 @@ func TestSwapCallbackPanicDoesNotLeakOwnership(t *testing.T) {
 	}
 }
 
-func TestChangedSources(t *testing.T) {
-	got := ChangedSources(
-		[][2]int32{{1, 2}, {1, 3}, {4, 0}},
-		[][2]int32{{4, 9}, {5, 1}},
-	)
-	want := map[int32]bool{1: true, 4: true, 5: true}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want sources of %v", got, want)
-	}
-	for _, s := range got {
-		if !want[s] {
-			t.Fatalf("unexpected source %d in %v", s, got)
-		}
-	}
-}
-
-func TestAffectedSourcesChain(t *testing.T) {
-	// On the chain 0→1→…→29, only sources UPSTREAM of a changed node can
-	// feel its row change (π_s(5) = α(1-α)^(5-s) for s ≤ 5, zero beyond),
-	// so the affected set is the upstream prefix plus the changed node —
-	// never the downstream tail.
-	g := chain(t, 30)
-	cfg := AffectConfig{Alpha: 0.2, Tolerance: 0.2}
-	aff, ok := AffectedSources(g, []int32{5}, cfg)
-	if !ok {
-		t.Fatal("scoping aborted on a 30-node chain")
-	}
-	if _, has := aff[5]; !has {
-		t.Fatal("changed node not in affected set")
-	}
-	if len(aff) >= g.N() {
-		t.Fatalf("affected every node: %v", aff)
-	}
-	for s := int32(6); s < 30; s++ {
-		if _, has := aff[s]; has {
-			t.Fatalf("downstream source %d cannot be affected: %v", s, aff)
-		}
-	}
-	// A tighter tolerance can only widen the set.
-	tight, ok := AffectedSources(g, []int32{5}, AffectConfig{Alpha: 0.2, Tolerance: 1e-3, MaxFrac: 1})
-	if !ok {
-		t.Fatal("scoping aborted with MaxFrac=1")
-	}
-	if len(tight) < len(aff) {
-		t.Fatalf("tighter tolerance found fewer sources: %d < %d", len(tight), len(aff))
-	}
-}
-
-func TestAffectedSourcesAborts(t *testing.T) {
-	g := chain(t, 10)
-	if _, ok := AffectedSources(g, []int32{5}, AffectConfig{Alpha: 0.2, Tolerance: 0}); ok {
-		t.Fatal("zero tolerance must abort (everything affected)")
-	}
-	if _, ok := AffectedSources(g, []int32{9}, AffectConfig{Alpha: 0.2, Tolerance: 1e-9, MaxFrac: 0.1}); ok {
-		t.Fatal("MaxFrac must abort when the region covers the graph")
-	}
-	if _, ok := AffectedSources(g, []int32{9}, AffectConfig{Alpha: 0.2, Tolerance: 1e-9, MaxFrac: 1, MaxPushes: 2}); ok {
-		t.Fatal("MaxPushes must abort a deep expansion")
-	}
-	if aff, ok := AffectedSources(g, nil, AffectConfig{Alpha: 0.2, Tolerance: 0.1}); !ok || aff != nil {
-		t.Fatalf("empty delta: got (%v,%v), want (nil,true)", aff, ok)
-	}
-}
-
-func TestAffectedSourcesBoundHolds(t *testing.T) {
-	// The set must be conservative: every source whose exact Σ_u π_s(u)
-	// over changed rows exceeds the tolerance-derived threshold τ is in it.
-	g := gen.BarabasiAlbert(200, 3, 42)
-	p := algo.DefaultParams(g)
-	changed := []int32{int32(g.N() - 1), 17}
-	cfg := AffectConfig{Alpha: p.Alpha, Tolerance: 0.05, MaxFrac: 1}
-	aff, ok := AffectedSources(g, changed, cfg)
-	if !ok {
-		t.Fatal("scoping aborted")
-	}
-	tau := cfg.Tolerance * cfg.Alpha / (2 * (1 - cfg.Alpha))
-	for s := 0; s < g.N(); s++ {
-		truth, err := power.GroundTruth(g, int32(s), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		for _, u := range changed {
-			sum += truth[u]
-		}
-		if sum >= tau {
-			if _, has := aff[int32(s)]; !has {
-				t.Fatalf("source %d has Σπ=%g ≥ τ=%g but is not affected", s, sum, tau)
-			}
-		}
-	}
-}
-
 func TestManagerBatchesAndFlushes(t *testing.T) {
 	g := chain(t, 16)
 	var mu sync.Mutex
 	swaps := 0
 	var lastG *graph.Graph
-	m := NewManager(g, func(ng *graph.Graph, affected map[int32]struct{}, full bool, onRetire func()) int {
+	m := NewManager(g, func(ng *graph.Graph, onRetire func()) int {
 		mu.Lock()
 		defer mu.Unlock()
 		swaps++
 		lastG = ng
 		return 0
-	}, Config{MaxStaleness: time.Hour, MaxPending: 1000,
-		Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	}, Config{MaxStaleness: time.Hour, MaxPending: 1000})
 	defer m.Close()
 
 	res, err := m.Apply([][2]int32{{0, 5}, {0, 5}, {0, 1}}, nil)
@@ -258,8 +161,8 @@ func TestManagerBatchesAndFlushes(t *testing.T) {
 
 func TestManagerValidationRejectsWholeBatch(t *testing.T) {
 	g := chain(t, 8)
-	m := NewManager(g, func(*graph.Graph, map[int32]struct{}, bool, func()) int { return 0 },
-		Config{MaxStaleness: time.Hour, Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	m := NewManager(g, func(*graph.Graph, func()) int { return 0 },
+		Config{MaxStaleness: time.Hour})
 	defer m.Close()
 	_, err := m.Apply([][2]int32{{0, 5}, {3, 99}}, nil)
 	if err == nil {
@@ -276,11 +179,10 @@ func TestManagerValidationRejectsWholeBatch(t *testing.T) {
 func TestManagerMaxPendingForcesInlineSwap(t *testing.T) {
 	g := chain(t, 64)
 	swaps := 0
-	m := NewManager(g, func(*graph.Graph, map[int32]struct{}, bool, func()) int {
+	m := NewManager(g, func(*graph.Graph, func()) int {
 		swaps++
 		return 0
-	}, Config{MaxStaleness: time.Hour, MaxPending: 3,
-		Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	}, Config{MaxStaleness: time.Hour, MaxPending: 3})
 	defer m.Close()
 	res, err := m.Apply([][2]int32{{0, 9}, {0, 10}, {0, 11}}, nil)
 	if err != nil {
@@ -294,11 +196,10 @@ func TestManagerMaxPendingForcesInlineSwap(t *testing.T) {
 func TestManagerStalenessTimerFlushes(t *testing.T) {
 	g := chain(t, 8)
 	done := make(chan struct{})
-	m := NewManager(g, func(*graph.Graph, map[int32]struct{}, bool, func()) int {
+	m := NewManager(g, func(*graph.Graph, func()) int {
 		close(done)
 		return 0
-	}, Config{MaxStaleness: 20 * time.Millisecond,
-		Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	}, Config{MaxStaleness: 20 * time.Millisecond})
 	defer m.Close()
 	if _, err := m.Apply([][2]int32{{0, 5}}, nil); err != nil {
 		t.Fatal(err)
@@ -313,10 +214,10 @@ func TestManagerStalenessTimerFlushes(t *testing.T) {
 func TestManagerCloseFlushesAndRejects(t *testing.T) {
 	g := chain(t, 8)
 	swaps := 0
-	m := NewManager(g, func(*graph.Graph, map[int32]struct{}, bool, func()) int {
+	m := NewManager(g, func(*graph.Graph, func()) int {
 		swaps++
 		return 0
-	}, Config{MaxStaleness: time.Hour, Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	}, Config{MaxStaleness: time.Hour})
 	if _, err := m.Apply([][2]int32{{0, 5}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +241,10 @@ func TestManagerCloseFlushesAndRejects(t *testing.T) {
 func TestManagerOwnershipAndRetire(t *testing.T) {
 	g := chain(t, 8)
 	var retire func()
-	m := NewManager(g, func(ng *graph.Graph, _ map[int32]struct{}, _ bool, onRetire func()) int {
+	m := NewManager(g, func(ng *graph.Graph, onRetire func()) int {
 		retire = onRetire
 		return 0
-	}, Config{MaxStaleness: time.Hour, Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05}})
+	}, Config{MaxStaleness: time.Hour})
 	defer m.Close()
 	if !m.Owns(g) {
 		t.Fatal("manager does not own its base graph")
@@ -377,9 +278,8 @@ func TestManagerOwnershipAndRetire(t *testing.T) {
 func TestManagerOnSwapReportsExactDelta(t *testing.T) {
 	g := chain(t, 16)
 	var added, removed [][2]int32
-	m := NewManager(g, func(*graph.Graph, map[int32]struct{}, bool, func()) int { return 0 },
+	m := NewManager(g, func(*graph.Graph, func()) int { return 0 },
 		Config{MaxStaleness: time.Hour,
-			Affect: AffectConfig{Alpha: 0.2, Tolerance: 0.05},
 			OnSwap: func(_ *graph.Graph, a, r [][2]int32) { added, removed = a, r }})
 	defer m.Close()
 	// add (0,5); remove (3,4) from base; add-then-remove (7,9) nets out.

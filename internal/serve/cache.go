@@ -20,12 +20,12 @@ type Cache[V any] struct {
 	evictTTL counterSink
 	evictInv counterSink
 	// gate, when set, is consulted under the shard lock immediately before
-	// each insert; returning false drops the Put. Scoped invalidation uses
-	// it to reject results computed against a superseded graph snapshot:
-	// because both the gate check and InvalidateMatching's sweep hold the
-	// shard lock, a stale value either observes the new generation and is
-	// rejected here, or lands before the sweep and is removed by it — there
-	// is no window where it can slip in after the sweep.
+	// each insert; returning false drops the Put. Graph swaps use it to
+	// reject results computed against a superseded snapshot: because both
+	// the gate check and Purge's sweep hold the shard lock, a stale value
+	// either observes the new generation and is rejected here, or lands
+	// before the sweep and is removed by it — there is no window where it
+	// can slip in after the sweep.
 	gate func(Key, V) bool
 }
 
@@ -181,32 +181,6 @@ func (c *Cache[V]) Purge() int {
 		s.ll.Init()
 		s.items = make(map[Key]*list.Element)
 		s.bytes = 0
-		s.mu.Unlock()
-	}
-	for i := 0; i < dropped; i++ {
-		c.evictInv()
-	}
-	return dropped
-}
-
-// InvalidateMatching removes every entry whose key satisfies pred and
-// returns how many were dropped (reported as invalidation evictions). It
-// is the scoped alternative to Purge for incremental graph swaps: only
-// entries whose answers the edit delta can have moved are evicted, so the
-// rest of the working set keeps serving hits. pred runs under the shard
-// lock and must be cheap and side-effect free.
-func (c *Cache[V]) InvalidateMatching(pred func(Key) bool) int {
-	dropped := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		var next *list.Element
-		for el := s.ll.Front(); el != nil; el = next {
-			next = el.Next()
-			if pred(el.Value.(*cacheEntry[V]).key) {
-				s.remove(el)
-				dropped++
-			}
-		}
 		s.mu.Unlock()
 	}
 	for i := 0; i < dropped; i++ {

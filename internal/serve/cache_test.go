@@ -145,32 +145,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateMatching(t *testing.T) {
-	c := NewCache[int](1<<20, 4, 0)
-	var inv int
-	c.evictInv = func() { inv++ }
-	for i := int32(0); i < 20; i++ {
-		c.Put(key(i), int(i), 8)
-	}
-	affected := map[int32]struct{}{3: {}, 7: {}, 11: {}}
-	dropped := c.InvalidateMatching(func(k Key) bool {
-		_, hit := affected[k.Source]
-		return hit
-	})
-	if dropped != 3 || inv != 3 {
-		t.Fatalf("dropped=%d inv=%d, want 3/3", dropped, inv)
-	}
-	if c.Len() != 17 {
-		t.Fatalf("len=%d, want 17", c.Len())
-	}
-	if _, ok := c.Get(key(7)); ok {
-		t.Fatal("invalidated entry served")
-	}
-	if v, ok := c.Get(key(8)); !ok || v != 8 {
-		t.Fatal("unaffected entry lost")
-	}
-}
-
 func TestCachePutGateRejects(t *testing.T) {
 	c := NewCache[int](1<<20, 4, 0)
 	gen := 1

@@ -281,13 +281,6 @@ func (e *Engine[V]) Do(ctx context.Context, key Key, wait bool,
 // aging out.
 func (e *Engine[V]) Purge() int { return e.cache.Purge() }
 
-// InvalidateMatching removes only the cache entries whose key satisfies
-// pred and returns how many were dropped — the scoped invalidation an
-// incremental graph swap uses instead of Purge.
-func (e *Engine[V]) InvalidateMatching(pred func(Key) bool) int {
-	return e.cache.InvalidateMatching(pred)
-}
-
 // Close drains and stops the worker pool. In-flight Do calls complete;
 // calling Do afterwards panics.
 func (e *Engine[V]) Close() { e.pool.Close() }

@@ -13,9 +13,10 @@ import (
 //     query against a huge graph does not pin huge scratch vectors for a
 //     workload that moved to small graphs.
 //   - Epoch keying: Invalidate bumps the pool epoch and Get drops
-//     workspaces issued under older epochs. Engine.SyncDynamic calls it
-//     alongside its result-cache purge so a graph swap retires scratch
-//     sized for the old snapshot together with the stale results.
+//     workspaces issued under older epochs. Engine.UpdateGraph and
+//     Engine.Invalidate call it alongside their result-cache purge, so a
+//     graph replacement retires scratch sized for the old snapshot
+//     together with the stale results.
 //
 // A nil *Pool is valid and falls back to fresh allocation per Get — the
 // unpooled path, kept for golden comparisons against the pooled one.

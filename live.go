@@ -9,8 +9,7 @@ import (
 )
 
 // LiveOptions tunes a streaming write path (see Engine.StartLive). The
-// zero value is usable: 500ms staleness bound, 1024-edit pending cap, and
-// a score tolerance tied to the engine's accuracy regime (ε·δ).
+// zero value is usable: 500ms staleness bound and a 1024-edit pending cap.
 type LiveOptions struct {
 	// MaxStaleness bounds how long an accepted edit may stay invisible to
 	// queries before a snapshot swap publishes it (≤ 0 = 500ms).
@@ -28,20 +27,9 @@ type LiveOptions struct {
 	// builds; the MaxStaleness timer ignores the gap, so visibility stays
 	// bounded (≤ 0 = no throttle).
 	MinSwapGap time.Duration
-	// Tolerance is the absolute per-node score movement tolerated on
-	// cached results that survive a scoped swap (≤ 0 = ε·δ of the
-	// engine's parameters — at most one more unit of the error the
-	// approximation already permits).
-	Tolerance float64
-	// MaxAffectedFrac aborts scoped invalidation into a full purge when
-	// the affected region exceeds this fraction of the nodes (≤ 0 = 0.25).
-	MaxAffectedFrac float64
-	// MaxAffectPushes bounds the affected-region expansion work
-	// (≤ 0 = 1<<17); exceeding it falls back to a full purge.
-	MaxAffectPushes int
 	// Metrics, when non-nil, receives the mutation metric families
 	// (rwr_graph_swaps_total, rwr_edges_applied_total{op},
-	// rwr_cache_invalidations_total{scope}, rwr_graph_swap_seconds,
+	// rwr_cache_invalidations_total, rwr_graph_swap_seconds,
 	// pending/epoch gauges).
 	Metrics *obs.Registry
 	// OnSwap, when non-nil, observes every published swap — the new graph
@@ -65,9 +53,9 @@ type LiveStats = live.Stats
 // Live is a streaming write path attached to an Engine: concurrent
 // callers feed edge insertions and deletions through Apply, the path
 // batches and coalesces them, and snapshot swaps publish them to queries
-// within the configured staleness bound — invalidating only the
-// delta-affected slice of the result cache instead of purging it. At most
-// one Live may be attached to an Engine at a time.
+// within the configured staleness bound. Every swap bumps the engine's
+// epoch and purges the result cache. At most one Live may be attached to
+// an Engine at a time.
 type Live struct {
 	m *live.Manager
 	e *Engine
@@ -75,24 +63,17 @@ type Live struct {
 
 // StartLive attaches a streaming write path serving edits on top of the
 // engine's current graph. While it is attached, all mutation must go
-// through it: calling UpdateGraph/SyncDynamic concurrently would race the
-// write path's view of the served graph. Close the Live to detach.
+// through it: calling UpdateGraph concurrently would race the write path's
+// view of the served graph. Close the Live to detach.
 func (e *Engine) StartLive(opts LiveOptions) (*Live, error) {
 	if !e.liveOn.CompareAndSwap(false, true) {
 		return nil, errors.New("resacc: engine already has a live write path attached")
 	}
-	affect := e.affectConfig()
-	if opts.Tolerance > 0 {
-		affect.Tolerance = opts.Tolerance
-	}
-	affect.MaxFrac = opts.MaxAffectedFrac
-	affect.MaxPushes = opts.MaxAffectPushes
 	m := live.NewManager(e.Graph(), e.applyLiveSwap, live.Config{
 		MaxStaleness: opts.MaxStaleness,
 		MaxPending:   opts.MaxPending,
 		MaxBacklog:   opts.MaxBacklog,
 		MinSwapGap:   opts.MinSwapGap,
-		Affect:       affect,
 		Metrics:      opts.Metrics,
 		OnSwap:       opts.OnSwap,
 	})

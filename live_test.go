@@ -16,9 +16,8 @@ func liveTestEngine(g *Graph) *Engine {
 	return NewEngine(g, DefaultParams(g), EngineOptions{Workers: 1, WalkWorkers: 1})
 }
 
-// tailEdit returns an edge whose source is a late, in-degree-poor node of
-// a Barabási–Albert graph, so the delta-affected region is tiny and the
-// swap stays scoped.
+// tailEdit returns an edge between two late, low-degree nodes of a
+// Barabási–Albert graph, for tests that insert a single edge.
 func tailEdit(g *Graph) [2]int32 {
 	n := int32(g.N())
 	return [2]int32{n - 2, n - 7}
@@ -46,143 +45,62 @@ func TestStartLiveSingleAttachment(t *testing.T) {
 	defer l2.Close()
 }
 
-func TestLiveScopedSwapKeepsUnaffectedEntries(t *testing.T) {
-	g := GenerateBarabasiAlbert(1500, 3, 9)
-	e := liveTestEngine(g)
-	defer e.Close()
-	// The default tolerance (ε·δ) is stricter than the visit probability
-	// floor deg(u)/2m every source has on an undirected graph, so it
-	// (correctly) falls back to a full purge; relaxing the staleness
-	// tolerance is how an operator buys scoped invalidation.
-	l, err := e.StartLive(LiveOptions{MaxStaleness: time.Hour, Tolerance: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx := context.Background()
-	edit := tailEdit(g)
-
-	// Warm the cache: two far-away sources plus the future edit source.
-	warm := []int32{0, 50, edit[0]}
-	for _, s := range warm {
-		if _, err := e.Query(ctx, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Stats().CacheEntries != 3 {
-		t.Fatalf("warm cache entries=%d, want 3", e.Stats().CacheEntries)
-	}
-	before, err := e.Query(ctx, edit[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := l.Apply([][2]int32{edit}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != 1 {
-		t.Fatalf("apply result %+v", res)
-	}
-	if swapped, err := l.Flush(); err != nil || !swapped {
-		t.Fatalf("flush swapped=%v err=%v", swapped, err)
-	}
-
-	ls := l.Stats()
-	if ls.ScopedSwaps != 1 || ls.FullSwaps != 0 {
-		t.Fatalf("tail edit did not stay scoped: %+v", ls)
-	}
-	es := e.Stats()
-	if es.Epoch != 0 {
-		t.Fatalf("scoped swap bumped the cache epoch to %d", es.Epoch)
-	}
-	if !e.Graph().HasEdge(edit[0], edit[1]) {
-		t.Fatal("published snapshot missing the edit")
-	}
-	if es.CacheEntries == 0 {
-		t.Fatal("scoped swap purged the whole cache")
-	}
-
-	// Unaffected sources must be served from cache (hit count rises, no
-	// recompute); the edited source must recompute and move.
-	hits0 := e.Stats().Hits
-	for _, s := range []int32{0, 50} {
-		if _, err := e.Query(ctx, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := e.Stats().Hits - hits0; got != 2 {
-		t.Fatalf("unaffected sources got %v hits, want 2", got)
-	}
-	after, err := e.Query(ctx, edit[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Scores[edit[1]] <= before.Scores[edit[1]] {
-		t.Fatalf("edited source did not move: before=%g after=%g",
-			before.Scores[edit[1]], after.Scores[edit[1]])
-	}
-}
-
-func TestLiveScopedHitRateBeatsPurgeBaseline(t *testing.T) {
-	g := GenerateBarabasiAlbert(1500, 3, 11)
-	edit := tailEdit(g)
-	sources := []int32{0, 25, 50, 75, 100}
-
-	replay := func(e *Engine, mutate func()) float64 {
-		ctx := context.Background()
-		for _, s := range sources {
-			if _, err := e.Query(ctx, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mutate()
-		for _, s := range sources {
-			if _, err := e.Query(ctx, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := e.Stats()
-		return st.Hits / (st.Hits + st.Misses)
-	}
-
-	scoped := liveTestEngine(g)
-	defer scoped.Close()
-	l, err := scoped.StartLive(LiveOptions{MaxStaleness: time.Hour, Tolerance: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	scopedRate := replay(scoped, func() {
-		if _, err := l.Apply([][2]int32{edit}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	purge := liveTestEngine(g)
-	defer purge.Close()
-	purgeRate := replay(purge, func() {
-		d := NewDynamicGraph(purge.Graph())
-		if err := d.AddEdge(edit[0], edit[1]); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := d.Snapshot()
+// TestLiveSwapPurgesCache: every live swap bumps the cache epoch by one
+// and empties the cache, with or without degree relabeling, and the edited
+// source recomputes against the new snapshot.
+func TestLiveSwapPurgesCache(t *testing.T) {
+	for _, relabel := range []bool{false, true} {
+		g := GenerateBarabasiAlbert(1500, 3, 9)
+		e := NewEngine(g, DefaultParams(g), EngineOptions{Workers: 1, WalkWorkers: 1, Relabel: relabel})
+		l, err := e.StartLive(LiveOptions{MaxStaleness: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
-		purge.UpdateGraph(snap) // the old full-purge path
-	})
+		ctx := context.Background()
+		edit := tailEdit(g)
+		for _, s := range []int32{0, 50, edit[0]} {
+			if _, err := e.Query(ctx, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, err := e.Query(ctx, edit[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		es := e.Stats()
+		if es.CacheEntries != 3 {
+			t.Fatalf("relabel=%v: warm cache entries=%d, want 3", relabel, es.CacheEntries)
+		}
+		epoch0 := es.Epoch
 
-	if scopedRate <= purgeRate {
-		t.Fatalf("scoped hit rate %.2f not above purge baseline %.2f", scopedRate, purgeRate)
-	}
-	// The second pass over unaffected sources should be all hits under
-	// scoped invalidation: 5 misses + 5 hits.
-	if scopedRate < 0.49 {
-		t.Fatalf("scoped hit rate %.2f, want ~0.5", scopedRate)
+		if _, err := l.Apply([][2]int32{edit}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if swapped, err := l.Flush(); err != nil || !swapped {
+			t.Fatalf("relabel=%v: flush swapped=%v err=%v", relabel, swapped, err)
+		}
+		es = e.Stats()
+		if es.CacheEntries != 0 {
+			t.Fatalf("relabel=%v: swap left %d cache entries", relabel, es.CacheEntries)
+		}
+		if es.Epoch != epoch0+1 {
+			t.Fatalf("relabel=%v: epoch %d -> %d, want +1", relabel, epoch0, es.Epoch)
+		}
+		if ls := l.Stats(); ls.Swaps != 1 || ls.Invalidated != 3 {
+			t.Fatalf("relabel=%v: live stats %+v, want 1 swap invalidating 3", relabel, ls)
+		}
+		after, err := e.Query(ctx, edit[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Scores[edit[1]] <= before.Scores[edit[1]] {
+			t.Fatalf("relabel=%v: edited source did not move: before=%g after=%g",
+				relabel, before.Scores[edit[1]], after.Scores[edit[1]])
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
 	}
 }
 

@@ -58,8 +58,7 @@ func QueryTopKCtx(ctx context.Context, g *Graph, source int32, k int, p Params) 
 // later, cheaper-round ranking cannot be trusted to improve on it and the
 // deadline has already fired.
 func queryTopKSolverCtx(ctx context.Context, g *Graph, source int32, k int, p Params, s core.Solver) (TopK, error) {
-	tk, _, err := queryTopKSolverOn(ctx, g, g, source, source, k, p, s)
-	return tk, err
+	return queryTopKSolverOn(ctx, g, g, source, source, k, p, s)
 }
 
 // queryTopKSolverOn is queryTopKSolverCtx with the serving boundary split
@@ -68,20 +67,12 @@ func queryTopKSolverCtx(ctx context.Context, g *Graph, source int32, k int, p Pa
 // relabeling engine passes a solver whose ScoreRemap translates each
 // round's scores before ranking, so the ranked node ids come out
 // caller-space with no extra pass here.
-//
-// The second return is the total fresh remedy walks across all rounds:
-// zero with a hot endpoint set attached (s.Endpoints) means every round
-// was fully served by replay. A set built at the full Definition 1 budget
-// covers every reduced-budget round too — each round's per-node demand
-// n_v scales down with its NScale while the stored ω was sized at the
-// target scale — so hot top-k queries are normally walk-free end to end.
-func queryTopKSolverOn(ctx context.Context, g, eventG *Graph, src, source int32, k int, p Params, s core.Solver) (TopK, int64, error) {
+func queryTopKSolverOn(ctx context.Context, g, eventG *Graph, src, source int32, k int, p Params, s core.Solver) (TopK, error) {
 	if k <= 0 {
-		return TopK{}, 0, fmt.Errorf("resacc: QueryTopK needs k > 0, got %d", k)
+		return TopK{}, fmt.Errorf("resacc: QueryTopK needs k > 0, got %d", k)
 	}
 	target := p.EffectiveNScale()
 	var prev []Ranked
-	var walks int64
 	for scale := target / 8; ; scale *= 2 {
 		if scale > target {
 			scale = target
@@ -92,9 +83,8 @@ func queryTopKSolverOn(ctx context.Context, g, eventG *Graph, src, source int32,
 		scores, stats, err := s.QueryCtx(ctx, g, src, q)
 		notifyQueryHooks(QueryEvent{Graph: eventG, Source: source, Start: roundStart, Duration: time.Since(roundStart), Stats: stats, Err: err})
 		if err != nil {
-			return TopK{}, walks, err
+			return TopK{}, err
 		}
-		walks += stats.Walks
 		res := Result{Source: source, Scores: scores}
 		cur := res.TopK(k)
 		if stats.Degraded {
@@ -102,13 +92,13 @@ func queryTopKSolverOn(ctx context.Context, g, eventG *Graph, src, source int32,
 				Ranked: cur, Level: scale,
 				Degraded: true, Bound: stats.ResidualBound,
 				Phase: stats.DegradedPhase.String(),
-			}, walks, nil
+			}, nil
 		}
 		if scale >= target {
-			return TopK{Ranked: cur, Level: scale}, walks, nil
+			return TopK{Ranked: cur, Level: scale}, nil
 		}
 		if prev != nil && sameMembers(prev, cur) {
-			return TopK{Ranked: cur, Level: scale}, walks, nil
+			return TopK{Ranked: cur, Level: scale}, nil
 		}
 		prev = cur
 	}
