@@ -104,6 +104,81 @@ func TestLiveSwapPurgesCache(t *testing.T) {
 	}
 }
 
+// TestLiveSwapHitRateMatchesPurgeBaseline: a live flush has the same cache
+// effect as UpdateGraph with the same edit. Both engines miss every source
+// after the swap and then serve identical scores from the edited graph.
+func TestLiveSwapHitRateMatchesPurgeBaseline(t *testing.T) {
+	g := GenerateBarabasiAlbert(1500, 3, 11)
+	edit := tailEdit(g)
+	sources := []int32{0, 25, 50, 75, 100, edit[0]}
+
+	replay := func(e *Engine, mutate func()) (EngineStats, [][]float64) {
+		ctx := context.Background()
+		for _, s := range sources {
+			if _, err := e.Query(ctx, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mutate()
+		var scores [][]float64
+		for _, s := range sources {
+			r, err := e.Query(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scores = append(scores, r.Scores)
+		}
+		return e.Stats(), scores
+	}
+
+	live := liveTestEngine(g)
+	defer live.Close()
+	l, err := live.StartLive(LiveOptions{MaxStaleness: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	liveStats, liveScores := replay(live, func() {
+		if _, err := l.Apply([][2]int32{edit}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if swapped, err := l.Flush(); err != nil || !swapped {
+			t.Fatalf("flush swapped=%v err=%v", swapped, err)
+		}
+	})
+
+	purge := liveTestEngine(g)
+	defer purge.Close()
+	purgeStats, purgeScores := replay(purge, func() {
+		d := NewDynamicGraph(purge.Graph())
+		if err := d.AddEdge(edit[0], edit[1]); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := d.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		purge.UpdateGraph(snap)
+	})
+
+	n := float64(len(sources))
+	for name, st := range map[string]EngineStats{"live": liveStats, "purge": purgeStats} {
+		if st.Hits != 0 || st.Misses != 2*n {
+			t.Fatalf("%s: hits=%v misses=%v, want 0 and %v", name, st.Hits, st.Misses, 2*n)
+		}
+		if st.Epoch != 1 {
+			t.Fatalf("%s: epoch=%d after one swap, want 1", name, st.Epoch)
+		}
+	}
+	for i, s := range sources {
+		for v := range liveScores[i] {
+			if liveScores[i][v] != purgeScores[i][v] {
+				t.Fatalf("source %d node %d: live %g != purge %g", s, v, liveScores[i][v], purgeScores[i][v])
+			}
+		}
+	}
+}
+
 func TestLiveSnapshotBinaryRoundTrip(t *testing.T) {
 	g := GenerateBarabasiAlbert(400, 3, 21)
 	e := liveTestEngine(g)
