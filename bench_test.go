@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"resacc/internal/algo"
@@ -269,6 +270,36 @@ func BenchmarkQueryPooledRepeat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.QueryWS(g, 1, p, w)
 	}
+}
+
+// BenchmarkQueryTopK is the cold top-k read behind an rwrd cache miss:
+// webstan-s at scale 1 under rwrd's default parameters, k = 10, sources
+// from a fixed seeded rotation of uniform draws. rounds/op counts solver
+// rounds through a query hook; 1 means every query certified in its
+// first, eighth-budget round.
+func BenchmarkQueryTopK(b *testing.B) {
+	g := dataset.MustBuild("webstan-s", 1)
+	p := DefaultParams(g)
+	r := rng.New(1)
+	srcs := make([]int32, 64)
+	for i := range srcs {
+		srcs[i] = int32(r.Intn(g.N()))
+	}
+	var rounds atomic.Int64
+	remove := RegisterQueryHook(func(ev QueryEvent) {
+		if ev.Graph == g {
+			rounds.Add(1)
+		}
+	})
+	defer remove()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := QueryTopK(g, srcs[i%len(srcs)], 10, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rounds.Load())/float64(b.N), "rounds/op")
 }
 
 func BenchmarkCommunityDetection(b *testing.B) {

@@ -157,6 +157,9 @@ func TestChaosDeadlineViaLatencyInjectionServes206(t *testing.T) {
 	if body["phase"] != "remedy" {
 		t.Fatalf("phase=%v, want remedy", body["phase"])
 	}
+	if d, ok := body["delta"]; ok {
+		t.Fatalf("206 carries delta %v; a degraded answer's guarantee is its bound", d)
+	}
 	// Degraded cancellations are visible on /metrics.
 	mrec := httptest.NewRecorder()
 	s.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))

@@ -443,13 +443,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		K       int          `json:"k"`
 		Results []rankedJSON `json:"results"`
 		Millis  float64      `json:"query_ms"`
+		// Delta is the threshold the ranking is certified at: every node
+		// whose true score exceeds it is within relative error ε, with
+		// failure probability p_f (see docs/SERVING.md).
+		Delta float64 `json:"delta,omitempty"`
 		// Degradation contract: when degraded is true the scores are
 		// anytime underestimates and every true score is within bound of
 		// the reported one (see docs/SERVING.md).
 		Degraded bool    `json:"degraded,omitempty"`
 		Bound    float64 `json:"bound,omitempty"`
 		Phase    string  `json:"phase,omitempty"`
-	}{Source: source, K: k, Results: []rankedJSON{},
+	}{Source: source, K: k, Results: []rankedJSON{}, Delta: top.Delta,
 		Millis: float64(time.Since(start).Microseconds()) / 1000}
 	for _, t := range top.Ranked {
 		out.Results = append(out.Results, rankedJSON{t.Node, t.Score})

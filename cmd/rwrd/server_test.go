@@ -62,6 +62,11 @@ func TestQueryEndpoint(t *testing.T) {
 	if body["query_ms"].(float64) <= 0 {
 		t.Fatal("missing query timing")
 	}
+	// The certified threshold δ′ = δ/level is at least δ at any level up
+	// to the full budget.
+	if delta, ok := body["delta"].(float64); !ok || delta < s.params.Delta {
+		t.Fatalf("delta = %v, want present and ≥ δ = %v", body["delta"], s.params.Delta)
+	}
 }
 
 func TestQueryClampsK(t *testing.T) {
@@ -136,8 +141,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	body := rec.Body.String()
-	// One HTTP query runs the adaptive top-k loop, which fires one query
-	// event per refinement round — so phase counts are ≥ 1, not exactly 1.
+	// One HTTP query runs the top-k loop, which fires one query event per
+	// solver round (one to four) — so phase counts are ≥ 1, not exactly 1.
 	for _, want := range []string{
 		"# TYPE rwr_query_duration_seconds histogram",
 		`rwr_query_duration_seconds_count{phase="hopfwd"}`,
@@ -176,7 +181,7 @@ func TestTracesEndpoint(t *testing.T) {
 	get(t, s, "/v1/query?source=5")
 
 	_, body := get(t, s, "/v1/traces")
-	// Each HTTP query fires one trace per adaptive top-k round, so two
+	// Each HTTP query fires one trace per top-k solver round, so two
 	// requests leave at least two traces.
 	if body["count"].(float64) < 2 {
 		t.Fatalf("count=%v, want >= 2", body["count"])

@@ -169,7 +169,8 @@ type Engine struct {
 type engineEntry struct {
 	res    *Result  // KindFull
 	ranked []Ranked // KindTopK
-	level  float64  // KindTopK: precision level (see QueryTopK)
+	level  float64  // KindTopK: precision level (see TopK.Level)
+	delta  float64  // KindTopK: certified threshold δ′ (see TopK.Delta)
 	pair   float64  // KindPair
 	gen    uint64   // epoch of the snapshot the computation pinned (cache gate)
 
@@ -493,12 +494,12 @@ func (e *Engine) computeFull(fctx context.Context, snap *live.Snapshot, source i
 }
 
 // QueryTopK answers a top-k query through the engine. With the default
-// solver it runs the adaptive top-k refinement of the package-level
-// QueryTopK (cheaper than a full-precision query when the ranking
-// stabilises early) and returns its precision level; a custom Compute is
-// ranked with Result.TopK and reports level 0. A deadline firing
-// mid-computation yields the ranking of the partial scores with the
-// TopK degradation fields set (never cached).
+// solver it runs the certified top-k loop of the package-level QueryTopK:
+// a clear ranking returns after one eighth-budget round, and the answer
+// reports the round's level and the threshold Delta it is certified at.
+// A custom Compute is ranked with Result.TopK and reports level and
+// delta 0. A deadline firing mid-computation yields the ranking of the
+// partial scores with the TopK degradation fields set (never cached).
 func (e *Engine) QueryTopK(ctx context.Context, source int32, k int) (TopK, error) {
 	if k <= 0 {
 		return TopK{}, fmt.Errorf("resacc: engine QueryTopK needs k > 0, got %d", k)
@@ -535,7 +536,7 @@ func (e *Engine) QueryTopK(ctx context.Context, source int32, k int) (TopK, erro
 				if err != nil {
 					return nil, 0, err
 				}
-				en = &engineEntry{ranked: tk.Ranked, level: tk.Level,
+				en = &engineEntry{ranked: tk.Ranked, level: tk.Level, delta: tk.Delta,
 					degraded: tk.Degraded, bound: tk.Bound, phase: tk.Phase}
 			}
 			en.gen = snap.Epoch()
@@ -547,7 +548,7 @@ func (e *Engine) QueryTopK(ctx context.Context, source int32, k int) (TopK, erro
 	if err != nil {
 		return TopK{}, err
 	}
-	return TopK{Ranked: en.ranked, Level: en.level,
+	return TopK{Ranked: en.ranked, Level: en.level, Delta: en.delta,
 		Degraded: en.degraded, Bound: en.bound, Phase: en.phase}, nil
 }
 

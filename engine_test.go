@@ -199,29 +199,37 @@ func TestEngineQueryTopK(t *testing.T) {
 	if top.Degraded {
 		t.Fatal("undeadlined query reported degraded")
 	}
+	if want := DefaultParams(g).Delta / top.Level; top.Delta != want {
+		t.Fatalf("delta %v at level %v, want δ/level = %v", top.Delta, top.Level, want)
+	}
 	for i := 1; i < len(ranked); i++ {
 		if ranked[i].Score > ranked[i-1].Score {
 			t.Fatal("ranking not sorted")
 		}
 	}
 	// k clamps to n.
-	top, err = e.QueryTopK(ctx, 3, g.N()+100)
+	all, err := e.QueryTopK(ctx, 3, g.N()+100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top.Ranked) != g.N() {
-		t.Fatalf("got %d ranked, want n=%d", len(top.Ranked), g.N())
+	if len(all.Ranked) != g.N() {
+		t.Fatalf("got %d ranked, want n=%d", len(all.Ranked), g.N())
 	}
 	if _, err := e.QueryTopK(ctx, 3, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	// Cached: second identical call does no walk/push work.
+	// Cached: second identical call does no walk/push work and returns
+	// the miss's certificate.
 	w, p := workCounters()
-	if _, err := e.QueryTopK(ctx, 3, 5); err != nil {
+	hit, err := e.QueryTopK(ctx, 3, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if w2, p2 := workCounters(); w2 != w || p2 != p {
 		t.Fatal("top-k cache hit did work")
+	}
+	if hit.Level != top.Level || hit.Delta != top.Delta {
+		t.Fatalf("hit level/delta %v/%v, miss %v/%v", hit.Level, hit.Delta, top.Level, top.Delta)
 	}
 }
 

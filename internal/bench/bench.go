@@ -96,7 +96,7 @@ var experiments = []Experiment{
 	{"T7", "Table VII (App J): per-phase breakdown of ResAcc", runTable7},
 	{"F24", "Fig 24 (App K): ablation of each ResAcc trick", runFig24},
 	{"X1", "Extension: parallel remedy phase speedup", runX1Parallel},
-	{"X2", "Extension: adaptive top-k query vs full query", runX2TopK},
+	{"X2", "Extension: certified top-k query vs full query", runX2TopK},
 	{"X3", "Extension: HubPPR pairwise cache vs BiPPR", runX3HubPPR},
 	{"X4", "Extension: forward-push scheduling (FIFO vs max-residue-first)", runX4Scheduling},
 	{"X5", "Extension: degree-relabeled memory layout", runX5Relabel},

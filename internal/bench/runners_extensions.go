@@ -1,10 +1,10 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"time"
 
-	"resacc/internal/algo"
 	"resacc/internal/algo/bippr"
 	"resacc/internal/algo/fora"
 	"resacc/internal/algo/forward"
@@ -17,7 +17,7 @@ import (
 
 // The X-series experiments are extensions beyond the paper, exercising the
 // library features that have no counterpart figure: the parallel remedy
-// phase, the adaptive top-k query, and the HubPPR pairwise cache.
+// phase, the certified top-k query, and the HubPPR pairwise cache.
 
 func runX1Parallel(cfg Config) error {
 	names := cfg.Datasets
@@ -51,7 +51,7 @@ func runX2TopK(cfg Config) error {
 	if names == nil {
 		names = []string{"dblp-s", "twitter-s"}
 	}
-	t := newTableCfg(cfg, "dataset", "k", "full query", "adaptive query", "precision vs truth")
+	t := newTableCfg(cfg, "dataset", "k", "full query", "top-k query", "rounds", "precision vs truth")
 	for _, name := range names {
 		g, p, sources, err := graphOf(name, cfg)
 		if err != nil {
@@ -59,8 +59,9 @@ func runX2TopK(cfg Config) error {
 		}
 		tc := newTruthCacheDisk(g, p, cfg)
 		for _, k := range []int{10, 100} {
-			var full, adaptive time.Duration
+			var full, topk time.Duration
 			var prec float64
+			rounds := 0
 			for _, src := range sources {
 				start := time.Now()
 				if _, err := (core.Solver{}).SingleSource(g, src, p); err != nil {
@@ -69,11 +70,12 @@ func runX2TopK(cfg Config) error {
 				full += time.Since(start)
 
 				start = time.Now()
-				est, err := adaptiveTopK(g, src, k, p)
+				est, err := (core.Solver{}).TopK(context.Background(), g, src, k, p,
+					func(time.Time, core.Stats, error) { rounds++ })
 				if err != nil {
 					return err
 				}
-				adaptive += time.Since(start)
+				topk += time.Since(start)
 
 				truth, err := tc.get(src)
 				if err != nil {
@@ -85,57 +87,20 @@ func runX2TopK(cfg Config) error {
 					in[v] = true
 				}
 				hit := 0
-				for _, v := range est {
+				for _, v := range est.Nodes {
 					if in[v] {
 						hit++
 					}
 				}
 				prec += float64(hit) / float64(len(ideal))
 			}
-			n := time.Duration(len(sources))
-			t.row(name, k, full/n, adaptive/n, prec/float64(len(sources)))
+			n := len(sources)
+			t.row(name, k, full/time.Duration(n), topk/time.Duration(n),
+				float64(rounds)/float64(n), prec/float64(n))
 		}
 	}
 	t.flush()
 	return nil
-}
-
-// adaptiveTopK mirrors the facade's QueryTopK without importing the root
-// package (which would create an import cycle).
-func adaptiveTopK(g *graphT, src int32, k int, p algo.Params) ([]int32, error) {
-	var prev []int32
-	for scale := 0.125; ; scale *= 2 {
-		if scale > 1 {
-			scale = 1
-		}
-		q := p
-		q.NScale = scale
-		scores, err := (core.Solver{}).SingleSource(g, src, q)
-		if err != nil {
-			return nil, err
-		}
-		cur := eval.TopK(scores, k)
-		if scale >= 1 || (prev != nil && sameSet(prev, cur)) {
-			return cur, nil
-		}
-		prev = cur
-	}
-}
-
-func sameSet(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	in := make(map[int32]struct{}, len(a))
-	for _, v := range a {
-		in[v] = struct{}{}
-	}
-	for _, v := range b {
-		if _, ok := in[v]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 func runX3HubPPR(cfg Config) error {

@@ -32,7 +32,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 out=${1:-BENCH_resacc.json}
-filter='^BenchmarkQueryTable3/(dblp-s|webstan-s)/(resacc|fora)$|^BenchmarkForwardPush$|^BenchmarkHHopFWDPhase(NoSweep)?$|^BenchmarkQueryPooledRepeat(Alias)?$|^BenchmarkPushParallel/workers=(1|2|4|8)$|^BenchmarkLiveWriteMix$'
+filter='^BenchmarkQueryTable3/(dblp-s|webstan-s)/(resacc|fora)$|^BenchmarkForwardPush$|^BenchmarkHHopFWDPhase(NoSweep)?$|^BenchmarkQueryPooledRepeat(Alias)?$|^BenchmarkQueryTopK$|^BenchmarkPushParallel/workers=(1|2|4|8)$|^BenchmarkLiveWriteMix$'
 microfilter='^BenchmarkRandomWalk(Alias)?$'
 
 tmp=$(mktemp)

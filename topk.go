@@ -2,22 +2,28 @@ package resacc
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"resacc/internal/core"
 )
 
 // TopK is the answer to a top-k query: the ranking plus how it was
-// produced. Level is the NScale precision the final round ran at (see
+// produced. Level and Delta say which guarantee the ranking carries (see
 // QueryTopK); the degradation fields mirror Result's and are set when the
 // query's deadline cut the final round short.
 type TopK struct {
 	// Ranked is the top-k nodes in decreasing score order.
 	Ranked []Ranked
-	// Level is the precision level (walk-budget scale) of the round that
-	// produced the ranking.
+	// Level is the precision level (NScale walk-budget scale) of the round
+	// that produced the ranking: target/8, /4, /2 or the target NScale
+	// itself. 0 for a custom-Compute engine.
 	Level float64
+	// Delta is the threshold δ′ = δ/Level the ranking is certified at:
+	// every node with π > Delta has |π̂−π| ≤ ε·π, with failure probability
+	// p_f. When the loop stopped early, every ranked node also has
+	// π > Delta. 0 when Degraded (Bound applies instead) and for a
+	// custom-Compute engine.
+	Delta float64
 	// Degraded reports the ranking came from a deadline-truncated round;
 	// scores are underestimates within Bound (see Result.Degraded).
 	Degraded bool
@@ -28,35 +34,36 @@ type TopK struct {
 	Phase string
 }
 
-// QueryTopK returns the k nodes most relevant to source, refining
-// adaptively: it answers the query with a reduced remedy budget first and
-// doubles the budget until the top-k membership is stable across two
-// consecutive rounds (or the full Definition 1 budget is reached). On
-// graphs where the ranking is decided early this is substantially cheaper
-// than a full-precision query; in the worst case it costs one extra
-// low-budget round.
+// QueryTopK returns the k nodes most relevant to source with a certified
+// early stop. A round at walk-budget scale c is ResAcc at δ′ = δ/c, so
+// the query runs rounds at NScale target/8, /4, /2 and target (target is
+// p.NScale, default 1), each at failure probability p_f/4, and returns at
+// the first round whose k-th estimate exceeds (1+ε)·δ′. That estimate
+// proves every returned node has π > δ′, so each carries Definition 1's
+// ε-relative bound at δ′. On a clear ranking the first round certifies
+// and the query costs one eighth-budget ResAcc run; a source that reaches
+// fewer than k nodes never certifies and runs all four rounds, the last
+// at the full budget. The returned level is the final round's scale, and
+// δ′ = p.Delta/level.
 //
-// This is an extension beyond the paper (which targets the full
-// single-source vector); the final round never exceeds the paper's walk
-// budget, so the returned scores still satisfy the Definition 1 guarantee
-// whenever the adaptive loop runs to the full budget, and are flagged
-// otherwise via the returned precision level.
+// This is an extension beyond the paper, which targets the full
+// single-source vector. The stop rule is FORA's top-k variant (Wang et
+// al., arXiv:1908.10583).
 func QueryTopK(g *Graph, source int32, k int, p Params) ([]Ranked, float64, error) {
 	tk, err := queryTopKSolverCtx(context.Background(), g, source, k, p, core.Solver{})
 	return tk.Ranked, tk.Level, err
 }
 
 // QueryTopKCtx is QueryTopK under a context: a deadline stops the current
-// refinement round at its next amortized check and the ranking computed
-// from the partial scores is returned with the degradation fields set.
+// round at its next amortized check and the ranking computed from the
+// partial scores is returned with the degradation fields set.
 func QueryTopKCtx(ctx context.Context, g *Graph, source int32, k int, p Params) (TopK, error) {
 	return queryTopKSolverCtx(ctx, g, source, k, p, core.Solver{})
 }
 
 // queryTopKSolverCtx is QueryTopKCtx with an explicit solver (see
-// querySolver). A degraded round ends the adaptive loop immediately — a
-// later, cheaper-round ranking cannot be trusted to improve on it and the
-// deadline has already fired.
+// querySolver). It fires the query hooks once per round, and a degraded
+// round ends the loop with that round's ranking and residual bound.
 func queryTopKSolverCtx(ctx context.Context, g *Graph, source int32, k int, p Params, s core.Solver) (TopK, error) {
 	return queryTopKSolverOn(ctx, g, g, source, source, k, p, s)
 }
@@ -68,54 +75,18 @@ func queryTopKSolverCtx(ctx context.Context, g *Graph, source int32, k int, p Pa
 // round's scores before ranking, so the ranked node ids come out
 // caller-space with no extra pass here.
 func queryTopKSolverOn(ctx context.Context, g, eventG *Graph, src, source int32, k int, p Params, s core.Solver) (TopK, error) {
-	if k <= 0 {
-		return TopK{}, fmt.Errorf("resacc: QueryTopK needs k > 0, got %d", k)
+	ans, err := s.TopK(ctx, g, src, k, p, func(start time.Time, st core.Stats, err error) {
+		notifyQueryHooks(QueryEvent{Graph: eventG, Source: source, Start: start, Duration: time.Since(start), Stats: st, Err: err})
+	})
+	if err != nil {
+		return TopK{}, err
 	}
-	target := p.EffectiveNScale()
-	var prev []Ranked
-	for scale := target / 8; ; scale *= 2 {
-		if scale > target {
-			scale = target
-		}
-		q := p
-		q.NScale = scale
-		roundStart := time.Now()
-		scores, stats, err := s.QueryCtx(ctx, g, src, q)
-		notifyQueryHooks(QueryEvent{Graph: eventG, Source: source, Start: roundStart, Duration: time.Since(roundStart), Stats: stats, Err: err})
-		if err != nil {
-			return TopK{}, err
-		}
-		res := Result{Source: source, Scores: scores}
-		cur := res.TopK(k)
-		if stats.Degraded {
-			return TopK{
-				Ranked: cur, Level: scale,
-				Degraded: true, Bound: stats.ResidualBound,
-				Phase: stats.DegradedPhase.String(),
-			}, nil
-		}
-		if scale >= target {
-			return TopK{Ranked: cur, Level: scale}, nil
-		}
-		if prev != nil && sameMembers(prev, cur) {
-			return TopK{Ranked: cur, Level: scale}, nil
-		}
-		prev = cur
+	tk := TopK{Ranked: make([]Ranked, len(ans.Nodes)), Level: ans.Level, Delta: ans.Delta}
+	for i, v := range ans.Nodes {
+		tk.Ranked[i] = Ranked{Node: v, Score: ans.Scores[v]}
 	}
-}
-
-func sameMembers(a, b []Ranked) bool {
-	if len(a) != len(b) {
-		return false
+	if st := ans.Stats; st.Degraded {
+		tk.Degraded, tk.Bound, tk.Phase = true, st.ResidualBound, st.DegradedPhase.String()
 	}
-	in := make(map[int32]struct{}, len(a))
-	for _, r := range a {
-		in[r.Node] = struct{}{}
-	}
-	for _, r := range b {
-		if _, ok := in[r.Node]; !ok {
-			return false
-		}
-	}
-	return true
+	return tk, nil
 }

@@ -1,9 +1,16 @@
 package resacc
 
 import (
+	"context"
+	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"resacc/internal/algo/power"
+	"resacc/internal/dataset"
 	"resacc/internal/eval"
+	"resacc/internal/rng"
 )
 
 func TestQueryTopKMatchesFullPrecision(t *testing.T) {
@@ -38,7 +45,7 @@ func TestQueryTopKMatchesFullPrecision(t *testing.T) {
 		}
 	}
 	if hits < 8 {
-		t.Fatalf("only %d/10 of the adaptive top-k are truly top-k", hits)
+		t.Fatalf("only %d/10 of the certified top-k are truly top-k", hits)
 	}
 }
 
@@ -67,32 +74,136 @@ func TestQueryTopKValidation(t *testing.T) {
 	}
 }
 
-func TestQueryTopKAdaptiveStops(t *testing.T) {
-	// On an easy instance (clear ranking), the adaptive loop should stop
-	// below the full budget at least sometimes; we only assert the level
-	// is valid and the call is deterministic.
-	g := GenerateCommunitiesGraph(t)
-	p := DefaultParams(g)
-	a, la, err := QueryTopK(g, 0, 5, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, lb, err := QueryTopK(g, 0, 5, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la != lb {
-		t.Fatal("adaptive level not deterministic")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("adaptive top-k not deterministic")
+// countRounds counts the query-hook events g's top-k queries fire: one per
+// solver round.
+func countRounds(t *testing.T, g *Graph) *atomic.Int64 {
+	t.Helper()
+	var n atomic.Int64
+	remove := RegisterQueryHook(func(ev QueryEvent) {
+		if ev.Graph == g {
+			n.Add(1)
 		}
+	})
+	t.Cleanup(remove)
+	return &n
+}
+
+// TestQueryTopKCertifiesInOneRound: on a clear ranking the first,
+// eighth-budget round's k-th estimate already clears (1+ε)·8δ, so the
+// query stops there and reports the certified threshold 8δ. A web graph's
+// top five sit well above 12/n.
+func TestQueryTopKCertifiesInOneRound(t *testing.T) {
+	g, info, err := dataset.Build("webstan-s", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams(g)
+	p.H = info.H
+	rounds := countRounds(t, g)
+	a, err := QueryTopKCtx(context.Background(), g, 3, 5, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rounds.Load(); got != 1 {
+		t.Fatalf("fired %d query events, want 1", got)
+	}
+	if a.Level != 1.0/8 || a.Delta != 8*p.Delta {
+		t.Fatalf("level %v delta %v, want 1/8 and %v", a.Level, a.Delta, 8*p.Delta)
+	}
+	if kth := a.Ranked[len(a.Ranked)-1].Score; !(kth > (1+p.Epsilon)*a.Delta) {
+		t.Fatalf("k-th score %v does not clear (1+ε)·δ′ = %v", kth, (1+p.Epsilon)*a.Delta)
+	}
+	b, err := QueryTopKCtx(context.Background(), g, 3, 5, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("top-k not deterministic:\n%+v\n%+v", a, b)
 	}
 }
 
-func GenerateCommunitiesGraph(t *testing.T) *Graph {
-	t.Helper()
-	g, _ := GenerateCommunities(300, 30, 8, 1, 5)
-	return g
+// TestQueryTopKEscalatesToTarget: a source that reaches fewer than k nodes
+// has a zero k-th estimate, never certifies, and runs all four rounds; the
+// answer is the full-budget round's, at threshold δ/target.
+func TestQueryTopKEscalatesToTarget(t *testing.T) {
+	b := NewGraphBuilder(50)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 0)
+	for v := int32(3); v < 49; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g := b.MustBuild()
+	p := DefaultParams(g)
+	p.NScale = 0.5
+	rounds := countRounds(t, g)
+	tk, err := QueryTopKCtx(context.Background(), g, 0, 10, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rounds.Load(); got != 4 {
+		t.Fatalf("fired %d query events, want 4", got)
+	}
+	if tk.Level != p.NScale || tk.Delta != p.Delta/p.NScale {
+		t.Fatalf("level %v delta %v, want %v and %v", tk.Level, tk.Delta, p.NScale, p.Delta/p.NScale)
+	}
+	if len(tk.Ranked) != 10 || tk.Ranked[3].Score != 0 {
+		t.Fatalf("want the 3-node cycle then zeros, got %+v", tk.Ranked)
+	}
+}
+
+// TestQueryTopKCertificateSound checks the certificate against power
+// iteration. Only the full-budget round may return uncertified. Every
+// node a certified answer returns must have π > δ′ and |π̂−π| ≤ ε·π;
+// every returned node above δ′ must meet the relative bound whether or
+// not the answer certified. Each answer fails with probability at most
+// p_f, so violations may not exceed p_f per node checked.
+func TestQueryTopKCertificateSound(t *testing.T) {
+	const k = 10
+	for _, ds := range []string{"webstan-s", "dblp-s"} {
+		g, info, err := dataset.Build(ds, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := DefaultParams(g)
+		p.H = info.H
+		r := rng.New(11)
+		truths := make(map[int32][]float64)
+		for len(truths) < 20 {
+			src := int32(r.Intn(g.N()))
+			if truths[src], err = power.GroundTruth(g, src, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checked, certified, violations := 0, 0, 0
+		for seed := uint64(1); seed <= 3; seed++ {
+			p.Seed = seed
+			for src, truth := range truths {
+				tk, err := QueryTopKCtx(context.Background(), g, src, k, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cert := tk.Ranked[len(tk.Ranked)-1].Score > (1+p.Epsilon)*tk.Delta
+				if cert {
+					certified++
+				} else if tk.Level < 1 {
+					t.Fatalf("%s seed=%d src=%d: stopped at level %v without a certificate", ds, seed, src, tk.Level)
+				}
+				for _, rk := range tk.Ranked {
+					pi := truth[rk.Node]
+					checked++
+					if (cert && !(pi > tk.Delta)) || (pi > tk.Delta && math.Abs(rk.Score-pi) > p.Epsilon*pi) {
+						violations++
+						t.Logf("%s seed=%d src=%d node=%d: π̂=%g π=%g δ′=%g", ds, seed, src, rk.Node, rk.Score, pi, tk.Delta)
+					}
+				}
+			}
+		}
+		if certified == 0 {
+			t.Fatalf("%s: no answer certified; the test exercises nothing", ds)
+		}
+		if budget := p.PFail * float64(checked); float64(violations) > budget {
+			t.Fatalf("%s: %d violations over %d nodes, budget p_f·%d = %.2f", ds, violations, checked, checked, budget)
+		}
+	}
 }
