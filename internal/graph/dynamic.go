@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -236,71 +236,117 @@ func (d *Dynamic) Edits() (added, removed [][2]int32) {
 }
 
 // Snapshot materialises the edited graph as an immutable Graph in
-// O(n + m + |edits|·log|edits|) — no global edge re-sort. Snapshot
-// participates in the single-writer contract: it must not overlap a
-// concurrent mutation (it reads the edit maps a writer would be changing).
+// O(n + m + |edits|·log|edits|) — no global edge re-sort. Each direction
+// of the CSR is copied from the base in runs of untouched nodes, and only
+// the nodes an edit touches are merged, so a small edit batch costs two
+// sequential copies of the base arrays. Out-lists keep the base order with
+// additions merged in; in-lists come out ascending, as Builder makes them.
+// Snapshot participates in the single-writer contract: it must not overlap
+// a concurrent mutation (it reads the edit maps a writer would be changing).
 func (d *Dynamic) Snapshot() (*Graph, error) {
 	d.beginMut()
 	defer d.endMut()
-	// Group added edges by source, sorted by target.
-	addedBy := make(map[int32][]int32, len(d.added))
-	for key := range d.added {
-		u := int32(key / int64(d.n))
-		v := int32(key % int64(d.n))
-		addedBy[u] = append(addedBy[u], v)
-	}
-	for _, vs := range addedBy {
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	}
-
-	g := &Graph{n: d.n}
 	m := d.base.M() + len(d.added) - len(d.removed)
-	g.outAdj = make([]int32, 0, m)
-	g.outOff = make([]int, d.n+1)
-	for u := int32(0); int(u) < d.n; u++ {
-		var baseOut []int32
-		if int(u) < d.base.N() {
-			baseOut = d.base.Out(u)
-		}
-		add := addedBy[u]
-		// Sorted merge of the surviving base edges with the additions.
-		bi, ai := 0, 0
-		for bi < len(baseOut) || ai < len(add) {
-			var v int32
-			takeBase := ai >= len(add) || (bi < len(baseOut) && baseOut[bi] <= add[ai])
-			if takeBase {
-				v = baseOut[bi]
-				bi++
-				if _, gone := d.removed[d.encode(u, v)]; gone {
-					continue
-				}
-			} else {
-				v = add[ai]
-				ai++
-			}
-			g.outAdj = append(g.outAdj, v)
-		}
-		g.outOff[u+1] = len(g.outAdj)
-	}
+	g := &Graph{n: d.n}
+	g.outAdj, g.outOff = d.mergeCSR(d.base.outAdj, d.base.outOff, false, m)
 	if len(g.outAdj) != m {
 		return nil, fmt.Errorf("graph: snapshot edge count %d != expected %d (edit bookkeeping bug)", len(g.outAdj), m)
 	}
-	// In-CSR by counting sort.
-	g.inAdj = make([]int32, len(g.outAdj))
-	g.inOff = make([]int, d.n+1)
-	for _, v := range g.outAdj {
-		g.inOff[v+1]++
-	}
-	for i := 0; i < d.n; i++ {
-		g.inOff[i+1] += g.inOff[i]
-	}
-	cursor := make([]int, d.n)
-	copy(cursor, g.inOff[:d.n])
-	for u := int32(0); int(u) < d.n; u++ {
-		for _, v := range g.outAdj[g.outOff[u]:g.outOff[u+1]] {
-			g.inAdj[cursor[v]] = u
-			cursor[v]++
+	g.inAdj, g.inOff = d.mergeCSR(d.base.inAdj, d.base.inOff, true, m)
+	// A base whose in-lists are not ascending (the Transpose of a graph
+	// with unsorted out-lists) is the only way to get an unsorted merge.
+	for v := 0; v < d.n; v++ {
+		in := g.inAdj[g.inOff[v]:g.inOff[v+1]]
+		for i := 1; i < len(in); i++ {
+			if in[i] < in[i-1] {
+				slices.Sort(in)
+				break
+			}
 		}
 	}
 	return g, nil
+}
+
+// mergeCSR builds one direction of the snapshot's CSR from the base's
+// (baseAdj, baseOff): out-lists, or in-lists when in is set. The lists of
+// nodes no edit touches are copied in runs; a touched node's list merges
+// the surviving base entries with its additions, sorted.
+func (d *Dynamic) mergeCSR(baseAdj []int32, baseOff []int, in bool, m int) ([]int32, []int) {
+	add, gone := d.editsBy(d.added, in), d.editsBy(d.removed, in)
+	touched := make([]int32, 0, len(add)+len(gone))
+	for u := range add {
+		touched = append(touched, u)
+	}
+	for u := range gone {
+		if _, ok := add[u]; !ok {
+			touched = append(touched, u)
+		}
+	}
+	slices.Sort(touched)
+
+	baseN := len(baseOff) - 1
+	adj := make([]int32, 0, m)
+	off := make([]int, d.n+1)
+	// copyRun appends the base lists of nodes [lo, hi) unchanged; nodes
+	// added in this session have none.
+	copyRun := func(lo, hi int) {
+		top := min(hi, baseN)
+		if lo < top {
+			shift := len(adj) - baseOff[lo]
+			adj = append(adj, baseAdj[baseOff[lo]:baseOff[top]]...)
+			for u := lo; u < top; u++ {
+				off[u+1] = baseOff[u+1] + shift
+			}
+		}
+		for u := max(lo, top); u < hi; u++ {
+			off[u+1] = len(adj)
+		}
+	}
+	next := 0
+	for _, u := range touched {
+		copyRun(next, int(u))
+		var base []int32
+		if int(u) < baseN {
+			base = baseAdj[baseOff[u]:baseOff[u+1]]
+		}
+		adds, removed := add[u], gone[u]
+		bi, ai := 0, 0
+		for bi < len(base) || ai < len(adds) {
+			var v int32
+			takeBase := ai >= len(adds) || (bi < len(base) && base[bi] <= adds[ai])
+			if takeBase {
+				v = base[bi]
+				bi++
+				if _, found := slices.BinarySearch(removed, v); found {
+					continue
+				}
+			} else {
+				v = adds[ai]
+				ai++
+			}
+			adj = append(adj, v)
+		}
+		off[u+1] = len(adj)
+		next = int(u) + 1
+	}
+	copyRun(next, d.n)
+	return adj, off
+}
+
+// editsBy groups an edit set by source node, each group sorted by target;
+// with in set, by target node, each group sorted by source.
+func (d *Dynamic) editsBy(set map[int64]struct{}, in bool) map[int32][]int32 {
+	by := make(map[int32][]int32, len(set))
+	for key := range set {
+		u := int32(key / int64(d.n))
+		v := int32(key % int64(d.n))
+		if in {
+			u, v = v, u
+		}
+		by[u] = append(by[u], v)
+	}
+	for _, vs := range by {
+		slices.Sort(vs)
+	}
+	return by
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -372,5 +373,110 @@ func TestDynamicEditsRoundTrip(t *testing.T) {
 				t.Fatalf("node %d adjacency differs", u)
 			}
 		}
+	}
+}
+
+// sameCSR reports whether a and b have identical out- and in-lists, order
+// included.
+func sameCSR(a, b *Graph) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	for v := int32(0); int(v) < a.N(); v++ {
+		if !slices.Equal(a.Out(v), b.Out(v)) || !slices.Equal(a.In(v), b.In(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestDynamicSnapshotCSRMatchesBuilder(t *testing.T) {
+	// Chained sessions, each based on the previous snapshot, with node
+	// growth and isolation mixed in: every snapshot's CSR, in-lists
+	// included, must equal a Builder rebuild of the edited edge set.
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := randomGraph(30, 120, seed)
+		want := map[[2]int32]bool{}
+		for u := int32(0); int(u) < g.N(); u++ {
+			for _, v := range g.Out(u) {
+				want[[2]int32{u, v}] = true
+			}
+		}
+		x := seed*2 + 1
+		next := func(n int) int32 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return int32(x % uint64(n))
+		}
+		for round := 0; round < 4; round++ {
+			d := NewDynamic(g)
+			if round == 2 {
+				d.AddNode()
+			}
+			for i := 0; i < 25; i++ {
+				u, v := next(d.N()), next(d.N())
+				if u == v {
+					continue
+				}
+				if next(2) == 0 {
+					if err := d.AddEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+					want[[2]int32{u, v}] = true
+				} else {
+					if err := d.RemoveEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+					delete(want, [2]int32{u, v})
+				}
+			}
+			if round == 3 {
+				v := next(d.N())
+				if err := d.IsolateNode(v); err != nil {
+					t.Fatal(err)
+				}
+				for e := range want {
+					if e[0] == v || e[1] == v {
+						delete(want, e)
+					}
+				}
+			}
+			snap, err := d.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := NewBuilder(d.N())
+			for e := range want {
+				b.AddEdge(e[0], e[1])
+			}
+			if !sameCSR(snap, b.MustBuild()) {
+				t.Fatalf("seed %d round %d: snapshot CSR differs from a Builder rebuild", seed, round)
+			}
+			g = snap
+		}
+	}
+}
+
+func TestDynamicSnapshotSortsInLists(t *testing.T) {
+	// Out-lists in descending order make the transpose's in-lists
+	// descending; a snapshot of it still has ascending in-lists.
+	g := &Graph{n: 4, outAdj: []int32{3, 2, 1, 3, 2}, outOff: []int{0, 3, 5, 5, 5}}
+	g.inAdj, g.inOff = []int32{0, 0, 1, 0, 1}, []int{0, 0, 1, 3, 5}
+	d := NewDynamic(Transpose(g))
+	if err := d.AddEdge(0, 1); err != nil { // in-list of 1 gains 0
+		t.Fatal(err)
+	}
+	snap, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := int32(0); v < 4; v++ {
+		if !slices.IsSorted(snap.In(v)) {
+			t.Fatalf("in-list of %d is %v, want ascending", v, snap.In(v))
+		}
+	}
+	if !slices.Equal(snap.In(0), []int32{1, 2, 3}) || !slices.Equal(snap.In(1), []int32{0, 2, 3}) {
+		t.Fatalf("in(0)=%v in(1)=%v, want [1 2 3] and [0 2 3]", snap.In(0), snap.In(1))
 	}
 }

@@ -149,3 +149,52 @@ func TestEngineNegativeBytesNotCached(t *testing.T) {
 		t.Fatalf("cache holds %d entries after degraded-only traffic", e.Cache().Len())
 	}
 }
+
+// TestFlightAbandonedIsNotJoined pins the flight bookkeeping the engine
+// test above races on: once the last waiter abandons a flight, a new
+// caller for the key starts a fresh flight instead of sharing the
+// cancelled one, and the abandoned flight finishing late leaves the
+// fresh flight in place.
+func TestFlightAbandonedIsNotJoined(t *testing.T) {
+	var g flightGroup[int]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var finishOld func(int, error)
+	if _, _, err := g.do(ctx, key(1), func(_ context.Context, finish func(int, error)) {
+		finishOld = finish // never called before the next flight starts
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller err=%v, want Canceled", err)
+	}
+
+	type result struct {
+		v      int
+		joined bool
+		err    error
+	}
+	fresh := make(chan result, 1)
+	started := make(chan func(int, error), 1)
+	go func() {
+		v, joined, err := g.do(context.Background(), key(1), func(_ context.Context, finish func(int, error)) {
+			started <- finish
+		})
+		fresh <- result{v, joined, err}
+	}()
+	var finishNew func(int, error)
+	select {
+	case finishNew = <-started:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the caller after the abandon joined the cancelled flight instead of starting one")
+	}
+
+	finishOld(0, context.Canceled)
+	g.mu.Lock()
+	_, live := g.calls[key(1)]
+	g.mu.Unlock()
+	if !live {
+		t.Fatal("the abandoned flight finishing late removed the fresh flight")
+	}
+	finishNew(42, nil)
+	if r := <-fresh; r.err != nil || r.v != 42 || r.joined {
+		t.Fatalf("fresh flight: v=%d joined=%v err=%v, want 42 as leader", r.v, r.joined, r.err)
+	}
+}
