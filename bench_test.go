@@ -12,19 +12,15 @@
 package resacc
 
 import (
-	"fmt"
 	"io"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"resacc/internal/algo"
-	"resacc/internal/algo/alias"
 	"resacc/internal/algo/forward"
 	"resacc/internal/bench"
 	"resacc/internal/core"
 	"resacc/internal/dataset"
-	"resacc/internal/graph/gen"
 	"resacc/internal/rng"
 	"resacc/internal/ws"
 )
@@ -178,80 +174,6 @@ func BenchmarkHHopFWDPhaseNoSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRandomWalkAlias is BenchmarkRandomWalk through the Vose alias
-// table: one fused RNG draw per step instead of restart-then-neighbour
-// draws. Build cost is excluded — serving builds once per snapshot and
-// amortizes it over every query.
-func BenchmarkRandomWalkAlias(b *testing.B) {
-	g := dataset.MustBuild("twitter-s", 0.1)
-	t := alias.Build(g, 0.2)
-	r := rng.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Walk(int32(i%g.N()), r)
-	}
-}
-
-// BenchmarkQueryPooledRepeatAlias is the steady-state repeat query with
-// alias-table walk sampling, the -alias-walks serving configuration.
-func BenchmarkQueryPooledRepeatAlias(b *testing.B) {
-	g := dataset.MustBuild("twitter-s", 0.1)
-	p := algo.DefaultParams(g)
-	s := core.Solver{Alias: alias.Build(g, p.Alpha)}
-	w := ws.New(g.N())
-	s.QueryWS(g, 1, p, w)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.QueryWS(g, 1, p, w)
-	}
-}
-
-// BenchmarkPushParallel measures the round-synchronous parallel push drain
-// against the sequential one on a ~1M-edge RMAT graph, isolating the push
-// phase (no remedy walks, no updating phase). workers=1 is the classic
-// sequential drain; higher counts engage the frontier engine from the
-// first push. Expect 0 B/op after warm-up at every worker count — the
-// engine, accumulators and frontier buffers are all pooled. Wall-clock
-// speedup requires real cores: on a single-CPU machine the parallel
-// variants only measure round overhead.
-func BenchmarkPushParallel(b *testing.B) {
-	g := gen.RMAT(17, 9, 7) // 131k nodes, ~1.12M edges after dedup
-	p := algo.DefaultParams(g)
-	const src = 1
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if workers > runtime.GOMAXPROCS(0) {
-				// Without the cores the measurement is pure round overhead —
-				// noise that would trip the ns/op regression gate. The skip
-				// is visible in the -bench output, so a multi-core run still
-				// reports every worker count.
-				b.Skipf("workers=%d > GOMAXPROCS=%d: no cores to measure scaling on", workers, runtime.GOMAXPROCS(0))
-			}
-			cfg := forward.PushConfig{Workers: workers, EngageMass: 1}
-			w := ws.New(g.N())
-			run := func() {
-				w.Reset(g.N())
-				w.SetResidue(src, 1)
-				var st forward.State
-				st.Reserve, st.Residue = w.Reserve, w.Residue
-				st.Track = &w.Dirty
-				st.UseScratch(&w.InQueue, w.Queue)
-				w.Seeds = append(w.Seeds[:0], src)
-				forward.RunFromPar(g, p.Alpha, p.RMaxF, &st, w.Seeds, false, nil, cfg)
-				w.Queue = st.TakeQueue()
-			}
-			run() // warm up pools and workspace capacity
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
 	}
 }
 

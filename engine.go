@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"resacc/internal/algo/alias"
 	"resacc/internal/core"
 	"resacc/internal/graph"
 	"resacc/internal/live"
@@ -70,13 +69,6 @@ type EngineOptions struct {
 	// deterministic per (seed, effective walk workers), so changing this
 	// knob changes which deterministic estimate is produced.
 	WalkWorkers int
-	// PushWorkers parallelizes each query's two forward-push phases with
-	// the round-synchronous frontier engine (see core.Solver.PushWorkers).
-	// Unlike WalkWorkers it is opt-in: ≤ 0 keeps the classic sequential
-	// drain. Positive values are clamped to GOMAXPROCS/Workers, like
-	// WalkWorkers. Results are deterministic per effective push-worker
-	// count.
-	PushWorkers int
 	// Relabel renumbers each served graph snapshot in decreasing
 	// total-degree order at load/swap time (graph.RelabelByDegree), which
 	// improves push and walk cache locality on skewed graphs. The
@@ -90,18 +82,6 @@ type EngineOptions struct {
 	// receives the relabeled graph and a translated source; its returned
 	// scores are translated back before serving.
 	Relabel bool
-	// AliasWalks builds a Vose alias table per graph snapshot (lazily, on
-	// the first query that needs it; shared read-only afterwards) and
-	// routes the remedy phase's random walks through it — one fused RNG
-	// draw per step instead of separate restart and neighbour draws. Same
-	// distribution and ε/δ guarantee, different RNG consumption, so
-	// results differ per-walk from the direct path but stay deterministic.
-	// The table costs ~16·(|E|+|V|) bytes per live snapshot.
-	AliasWalks bool
-	// DenseSwitch tunes the sequential push phases' dense-sweep
-	// switchover as a fraction of |E| (see core.Solver.DenseSwitch):
-	// 0 = the default (1/8), negative disables the sweep backend.
-	DenseSwitch float64
 	// Metrics, when non-nil, receives the engine metric families (cache
 	// hits/misses/evictions, dedup joins, sheds, queue depth, cache
 	// size, cached-vs-computed latency). Note the registry type lives in
@@ -157,10 +137,7 @@ type Engine struct {
 	// EngineOptions.WalkWorkers).
 	wsPool      *ws.Pool
 	walkWorkers int
-	pushWorkers int
-	denseSwitch float64
 	relabel     bool
-	aliasWalks  bool
 }
 
 // engineEntry is one cached answer; exactly one field group is set
@@ -189,33 +166,20 @@ func (en *engineEntry) bytes() int64 {
 	return s
 }
 
-// snapMeta is the per-snapshot serving sidecar (live.Snapshot.Derived):
-// the id-relabel mappings plus the lazily built alias table. It is
-// attached before the snapshot is published and immutable afterwards,
-// except for the once-guarded alias build.
+// snapMeta is the per-snapshot serving sidecar (live.Snapshot.Derived) of
+// a relabeled snapshot: the id-relabel mappings. It is attached before the
+// snapshot is published and immutable afterwards.
 type snapMeta struct {
-	// orig is the caller-id-space graph the snapshot was relabeled from;
-	// nil when the snapshot's own ids are the caller's (no relabeling).
+	// orig is the caller-id-space graph the snapshot was relabeled from.
 	// Query events, Graph() and the live write path all speak orig.
 	orig *Graph
 	// toOld/toNew translate between the snapshot's internal ids and the
-	// caller's (graph.RelabelByDegree); nil when ids coincide.
+	// caller's (graph.RelabelByDegree).
 	toOld, toNew []int32
-
-	aliasOnce sync.Once
-	alias     *alias.Table
-}
-
-// aliasTable returns the snapshot's alias table, building it on first use.
-// Concurrent first queries serialise on the Once; afterwards the table is
-// shared read-only.
-func (m *snapMeta) aliasTable(g *Graph, alpha float64) *alias.Table {
-	m.aliasOnce.Do(func() { m.alias = alias.Build(g, alpha) })
-	return m.alias
 }
 
 // metaOf returns the snapshot's serving sidecar, or nil for a plain
-// snapshot (no relabeling, no alias walks — the zero-overhead path).
+// snapshot (no relabeling — the zero-overhead path).
 func metaOf(s *live.Snapshot) *snapMeta {
 	if d := s.Derived(); d != nil {
 		return d.(*snapMeta)
@@ -225,20 +189,14 @@ func metaOf(s *live.Snapshot) *snapMeta {
 
 // newSnapshot wraps g — always in the caller's id space — as the next
 // served snapshot, applying load-time degree relabeling and attaching the
-// per-snapshot sidecar when the engine's options call for them.
+// relabel sidecar when the engine's options call for it.
 func (e *Engine) newSnapshot(g *Graph, gen uint64, onRetire func()) *live.Snapshot {
-	if !e.relabel && !e.aliasWalks {
+	if !e.relabel {
 		return live.NewSnapshot(g, gen, onRetire)
 	}
-	m := &snapMeta{}
-	served := g
-	if e.relabel {
-		rg, toOld, toNew := graph.RelabelByDegree(g)
-		m.orig, m.toOld, m.toNew = g, toOld, toNew
-		served = rg
-	}
-	s := live.NewSnapshot(served, gen, onRetire)
-	s.SetDerived(m)
+	rg, toOld, toNew := graph.RelabelByDegree(g)
+	s := live.NewSnapshot(rg, gen, onRetire)
+	s.SetDerived(&snapMeta{orig: g, toOld: toOld, toNew: toNew})
 	return s
 }
 
@@ -246,7 +204,7 @@ func (e *Engine) newSnapshot(g *Graph, gen uint64, onRetire func()) *live.Snapsh
 // against: the caller-id-space original when the snapshot is relabeled,
 // the snapshot's own graph otherwise.
 func (e *Engine) eventGraph(s *live.Snapshot) *Graph {
-	if m := metaOf(s); m != nil && m.orig != nil {
+	if m := metaOf(s); m != nil {
 		return m.orig
 	}
 	return s.Graph()
@@ -256,7 +214,7 @@ func (e *Engine) eventGraph(s *live.Snapshot) *Graph {
 // internal id space, validating the range (the solver would reject the
 // translated id too late to produce a caller-meaningful message).
 func ingressSource(m *snapMeta, g *Graph, source int32) (int32, error) {
-	if m == nil || m.toNew == nil {
+	if m == nil {
 		return source, nil
 	}
 	if source < 0 || int(source) >= g.N() {
@@ -269,7 +227,7 @@ func ingressSource(m *snapMeta, g *Graph, source int32) (int32, error) {
 // space back to the caller's: scores are permuted and Source restored.
 // Identity when the snapshot is not relabeled.
 func egressResult(m *snapMeta, source int32, res *Result) *Result {
-	if m == nil || m.toOld == nil {
+	if m == nil {
 		return res
 	}
 	return &Result{
@@ -283,14 +241,12 @@ func egressResult(m *snapMeta, source int32, res *Result) *Result {
 // parameters p. Close it to stop the worker pool.
 func NewEngine(g *Graph, p Params, opts EngineOptions) *Engine {
 	e := &Engine{
-		params:      p,
-		fp:          serve.Fingerprint(p),
-		compute:     opts.Compute,
-		custom:      opts.Compute != nil,
-		wsPool:      ws.NewPool(),
-		denseSwitch: opts.DenseSwitch,
-		relabel:     opts.Relabel,
-		aliasWalks:  opts.AliasWalks,
+		params:  p,
+		fp:      serve.Fingerprint(p),
+		compute: opts.Compute,
+		custom:  opts.Compute != nil,
+		wsPool:  ws.NewPool(),
+		relabel: opts.Relabel,
 	}
 	serveWorkers := opts.Workers
 	if serveWorkers <= 0 {
@@ -302,14 +258,6 @@ func NewEngine(g *Graph, p Params, opts EngineOptions) *Engine {
 	e.walkWorkers = opts.WalkWorkers
 	if e.walkWorkers <= 0 || e.walkWorkers > budget {
 		e.walkWorkers = budget
-	}
-	// Push parallelism is opt-in (0 = sequential drain), but never above
-	// the same per-query budget.
-	if opts.PushWorkers > 0 {
-		e.pushWorkers = opts.PushWorkers
-		if e.pushWorkers > budget {
-			e.pushWorkers = budget
-		}
 	}
 	e.snap.Store(e.newSnapshot(g, 0, nil))
 	e.wsPool.Refit(g.N())
@@ -375,22 +323,15 @@ func (e *Engine) pin() *live.Snapshot {
 // solver is the ResAcc solver default computations run with: the engine's
 // workspace pool plus its resolved walk parallelism.
 func (e *Engine) solver() core.Solver {
-	return core.Solver{
-		Workers: e.walkWorkers, PushWorkers: e.pushWorkers,
-		DenseSwitch: e.denseSwitch, Pool: e.wsPool,
-	}
+	return core.Solver{Workers: e.walkWorkers, Pool: e.wsPool}
 }
 
-// snapSolver is solver() plus the per-snapshot artifacts: the score remap
-// back to caller ids and the snapshot's alias table (built lazily here on
-// the first query that wants it).
+// snapSolver is solver() plus the per-snapshot artifact: the score remap
+// back to caller ids.
 func (e *Engine) snapSolver(snap *live.Snapshot) core.Solver {
 	s := e.solver()
 	if m := metaOf(snap); m != nil {
 		s.ScoreRemap = m.toOld
-		if e.aliasWalks {
-			s.Alias = m.aliasTable(snap.Graph(), e.params.Alpha)
-		}
 	}
 	return s
 }
@@ -408,10 +349,6 @@ func (e *Engine) RetryAfter() time.Duration { return e.inner.RetryAfter() }
 
 // WalkWorkers returns the resolved per-query remedy walk parallelism.
 func (e *Engine) WalkWorkers() int { return e.walkWorkers }
-
-// PushWorkers returns the resolved per-query push-phase parallelism
-// (0 = sequential drain).
-func (e *Engine) PushWorkers() int { return e.pushWorkers }
 
 // Close stops the engine's worker pool after draining admitted work.
 // Queries after Close fail.
@@ -589,7 +526,7 @@ func (e *Engine) QueryPair(ctx context.Context, source, target int32) (float64, 
 				// endpoints is the whole boundary — the scalar needs no
 				// translation back.
 				tgt := target
-				if m != nil && m.toNew != nil {
+				if m != nil {
 					tgt = m.toNew[target]
 				}
 				pair, err = QueryPair(g, src, tgt, e.params)

@@ -9,13 +9,12 @@ import (
 	"resacc/internal/eval"
 )
 
-// TestEngineRelabelAliasMeetsGuarantee: with degree relabeling and alias
-// walks on, every answer still satisfies the Definition 1 guarantee against
-// ground truth computed on the ORIGINAL graph — which proves the boundary
-// translation end to end (a wrong permutation anywhere would scramble the
-// scores far past ε) — and query-hook events keep reporting the original
-// graph and source.
-func TestEngineRelabelAliasMeetsGuarantee(t *testing.T) {
+// TestEngineRelabelMeetsGuarantee: with degree relabeling on, every answer
+// still satisfies the Definition 1 guarantee against ground truth computed
+// on the ORIGINAL graph — which proves the boundary translation end to end
+// (a wrong permutation anywhere would scramble the scores far past ε) — and
+// query-hook events keep reporting the original graph and source.
+func TestEngineRelabelMeetsGuarantee(t *testing.T) {
 	g := GenerateBarabasiAlbert(300, 3, 11)
 	p := DefaultParams(g)
 	var evGraphOK, evSourceOK bool
@@ -30,7 +29,7 @@ func TestEngineRelabelAliasMeetsGuarantee(t *testing.T) {
 	})
 	defer unhook()
 
-	e := NewEngine(g, p, EngineOptions{Relabel: true, AliasWalks: true})
+	e := NewEngine(g, p, EngineOptions{Relabel: true})
 	defer e.Close()
 	if e.Graph() != g {
 		t.Fatal("Graph() leaked the relabeled internal graph")
@@ -119,7 +118,7 @@ func TestEngineRelabelTopKPairAndErrors(t *testing.T) {
 func TestEngineRelabelLiveEdits(t *testing.T) {
 	g := GenerateBarabasiAlbert(200, 3, 3)
 	p := DefaultParams(g)
-	e := NewEngine(g, p, EngineOptions{Relabel: true, AliasWalks: true})
+	e := NewEngine(g, p, EngineOptions{Relabel: true})
 	defer e.Close()
 	l, err := e.StartLive(LiveOptions{MaxStaleness: time.Hour})
 	if err != nil {

@@ -5,9 +5,22 @@ import (
 	"resacc/internal/graph"
 )
 
-// drainDense is drainPooled with the adaptive dense-sweep escalation of
-// PushConfig.DenseMass: it tracks the queue's pending out-edge mass
-// incrementally (exactly as drainAdaptive does for the parallel engine) and,
+// drainDense is drain's loop for the pooled configuration: every touch is
+// recorded in Track and queue membership lives in the generation-stamped
+// queueMarks, unconditionally. The bookkeeping pointers are hoisted into
+// locals — the compiler cannot prove that writes through the residue slice
+// don't alias the State's own fields, so field accesses would reload per
+// edge.
+//
+// Unlike drainGeneric, push eligibility (mayPush) is checked at dequeue
+// time rather than per arriving edge: an ineligible node (the h-HopFWD
+// source or a frontier node outside the subgraph) may enter the queue but
+// is discarded when popped, before its residue is disturbed. The sequence
+// of pushes — and therefore every reserve/residue value — is bit-identical
+// either way; what moves is the cost, from one restriction stamp load per
+// edge of the hottest loop to one check per (much rarer) dequeue.
+//
+// The loop also tracks the queue's pending out-edge mass incrementally and,
 // when that mass reaches denseMass, stops chasing the frontier through the
 // queue — at that density the queue's per-edge bookkeeping and scattered
 // access order lose to plain CSR-ordered sweeps. Escalation flushes the
@@ -20,7 +33,7 @@ import (
 // escalates again.
 //
 // Below the threshold the push sequence — and therefore every reserve and
-// residue bit — is identical to drainPooled's. Above it, each sweep push is
+// residue bit — is identical to drainGeneric's. Above it, each sweep push is
 // the same Definition 7 operation, so the drain still terminates at the
 // common quiescence condition and every downstream bound (r_sum walk budget,
 // ε/δ guarantee, degraded-result residual) is unchanged; only float
@@ -57,7 +70,7 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 				return true
 			}
 			// Requeue the survivors. Ineligible nodes are filtered here
-			// rather than at dequeue (drainPooled admits then discards
+			// rather than at dequeue (the queue loop admits then discards
 			// them); same outcome, and pending only ever counts real work.
 			pending = 0
 			for v := int32(0); v < n; v++ {
@@ -87,7 +100,8 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 		}
 		v := st.queue[head]
 		qm.Unmark(v)
-		pending -= cost(g, v)
+		d := g.OutDegree(v)
+		pending -= max(d, 1) // cost(g, v); d is reused by the push below
 		if hasSkip && v == skip {
 			continue
 		}
@@ -101,7 +115,6 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 		track.Mark(v)
 		residue[v] = 0
 		pushes++
-		d := g.OutDegree(v)
 		if d == 0 {
 			// Dead-end semantics: the walk stops here with certainty.
 			reserve[v] += rv
@@ -112,13 +125,27 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 		for _, w := range g.Out(v) {
 			track.Mark(w)
 			residue[w] += share
-			if !qm.Has(w) && satisfies(g, rmax, residue[w], w) && qm.Mark(w) {
+			if qm.Has(w) {
+				continue
+			}
+			// satisfies(g, rmax, residue[w], w), reading the degree once
+			// for both the threshold and pending: rmax·1 is exactly rmax.
+			if c := cost(g, w); residue[w] >= rmax*float64(c) && qm.Mark(w) {
 				st.queue = append(st.queue, w)
-				pending += cost(g, w)
+				pending += c
 			}
 		}
 	}
 	st.Pushes += pushes
 	st.queue = st.queue[:0]
 	return false
+}
+
+// cost is a node's push-cost proxy: its out-edge count, floored at 1 so
+// dead ends still count as work.
+func cost(g *graph.Graph, v int32) int {
+	if d := g.OutDegree(v); d > 0 {
+		return d
+	}
+	return 1
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"resacc/internal/graph"
 	"resacc/internal/graph/gen"
 	"resacc/internal/ws"
 )
@@ -21,23 +22,23 @@ func pooledState(n int, src int32, dirty, inQueue *ws.Marks) *State {
 	return st
 }
 
-// TestDenseDrainEquivalence: with a small DenseMass the drain escalates to
+// TestDenseDrainEquivalence: with a small denseMass the drain escalates to
 // whole-range sweeps; the result must stay within the forward-push
-// invariant's residual bound of the plain queue drain, and both must be
-// quiescent and mass-conserving.
+// invariant's residual bound of the standalone queue drain (drainGeneric),
+// and both must be quiescent and mass-conserving.
 func TestDenseDrainEquivalence(t *testing.T) {
 	g := gen.RMAT(10, 6, 5)
 	const alpha, rmax = 0.2, 1e-7
 	n := g.N()
 
-	var d1, q1, d2, q2 ws.Marks
-	plain := pooledState(n, 0, &d1, &q1)
-	RunFromPar(g, alpha, rmax, plain, []int32{0}, false, nil, PushConfig{})
+	plain := NewState(n, 0)
+	RunFrom(g, alpha, rmax, plain, []int32{0}, false, nil, 0)
 
+	var d2, q2 ws.Marks
 	dense := pooledState(n, 0, &d2, &q2)
-	RunFromPar(g, alpha, rmax, dense, []int32{0}, false, nil, PushConfig{DenseMass: 256})
+	RunFrom(g, alpha, rmax, dense, []int32{0}, false, nil, 256)
 	if dense.Sweeps == 0 {
-		t.Fatal("DenseMass=256 never escalated to a sweep")
+		t.Fatal("denseMass=256 never escalated to a sweep")
 	}
 
 	var prsd, drsd float64
@@ -70,30 +71,84 @@ func TestDenseDrainEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseDrainBitIdenticalBelowThreshold: a DenseMass the query never
-// reaches must leave the push sequence — and every output bit — identical to
-// the plain pooled drain.
+// TestDenseDrainBitIdenticalBelowThreshold: an unarmed pooled drain
+// (denseMass 0, the queue-only configuration) and one whose denseMass the
+// search never reaches must both reproduce the standalone drain
+// (drainGeneric) exactly — same pushes, every output bit — in each of the
+// three shapes the solver runs: a plain search, a restricted one with a
+// skipped node (h-HopFWD) and a force-seeded one (OMFWD).
 func TestDenseDrainBitIdenticalBelowThreshold(t *testing.T) {
-	g := gen.ErdosRenyi(400, 3200, 7)
 	const alpha, rmax = 0.2, 1e-6
-	n := g.N()
-
-	var d1, q1, d2, q2 ws.Marks
-	plain := pooledState(n, 3, &d1, &q1)
-	RunFromPar(g, alpha, rmax, plain, []int32{3}, false, nil, PushConfig{})
-
-	dense := pooledState(n, 3, &d2, &q2)
-	RunFromPar(g, alpha, rmax, dense, []int32{3}, false, nil, PushConfig{DenseMass: 1 << 40})
-	if dense.Sweeps != 0 {
-		t.Fatal("unreachable DenseMass escalated anyway")
-	}
-	if dense.Pushes != plain.Pushes {
-		t.Fatalf("push count drifted: %d vs %d", dense.Pushes, plain.Pushes)
-	}
-	for v := 0; v < n; v++ {
-		if math.Float64bits(plain.Reserve[v]) != math.Float64bits(dense.Reserve[v]) ||
-			math.Float64bits(plain.Residue[v]) != math.Float64bits(dense.Residue[v]) {
-			t.Fatalf("node %d: below-threshold dense drain not bit-identical", v)
+	graphs := []*graph.Graph{gen.ErdosRenyi(400, 3200, 7), gen.RMAT(11, 6, 1), gen.RMAT(11, 6, 2)}
+	for gi, g := range graphs {
+		n := g.N()
+		var restrict ws.Marks
+		restrict.Grow(n)
+		restrict.Clear()
+		for v := int32(0); int(v) < n/2; v++ {
+			restrict.Mark(v)
+		}
+		var forceSeeds []int32
+		for v := int32(0); int(v) < n; v += 5 {
+			forceSeeds = append(forceSeeds, v)
+		}
+		modes := []struct {
+			name  string
+			src   int32
+			seeds []int32
+			force bool
+			skip  int32 // ≥ 0 restricts the search to restrict minus skip
+		}{
+			{"plain", 3, []int32{3}, false, -1},
+			{"restricted", 1, []int32{1}, false, 0},
+			{"forced", 0, forceSeeds, true, -1},
+		}
+		// setup gives the seeds of a forced run alternately an equal share
+		// of the unit mass, which starts the cascade, and a tenth of rmax,
+		// which is below every node's push threshold, so only force pushes
+		// those.
+		setup := func(st *State, seeds []int32, force bool, skip int32) {
+			if force {
+				st.Residue[0] = 0
+				for i, v := range seeds {
+					st.Residue[v] = 2 / float64(len(seeds))
+					if i%2 == 1 {
+						st.Residue[v] = rmax / 10
+					}
+					if st.Track != nil {
+						st.Track.Mark(v)
+					}
+				}
+			}
+			if skip >= 0 {
+				st.RestrictTo(&restrict, skip)
+			}
+		}
+		for _, m := range modes {
+			ref := NewState(n, m.src)
+			setup(ref, m.seeds, m.force, m.skip)
+			RunFrom(g, alpha, rmax, ref, m.seeds, m.force, nil, 0)
+			if ref.Pushes == 0 {
+				t.Fatalf("graph %d %s: reference search pushed nothing", gi, m.name)
+			}
+			for _, denseMass := range []int{0, 1 << 40} {
+				var d, q ws.Marks
+				st := pooledState(n, m.src, &d, &q)
+				setup(st, m.seeds, m.force, m.skip)
+				RunFrom(g, alpha, rmax, st, m.seeds, m.force, nil, denseMass)
+				if st.Sweeps != 0 {
+					t.Fatalf("graph %d %s denseMass=%d: unreachable threshold swept anyway", gi, m.name, denseMass)
+				}
+				if st.Pushes != ref.Pushes {
+					t.Fatalf("graph %d %s denseMass=%d: push count drifted: %d vs %d", gi, m.name, denseMass, st.Pushes, ref.Pushes)
+				}
+				for v := 0; v < n; v++ {
+					if math.Float64bits(ref.Reserve[v]) != math.Float64bits(st.Reserve[v]) ||
+						math.Float64bits(ref.Residue[v]) != math.Float64bits(st.Residue[v]) {
+						t.Fatalf("graph %d %s denseMass=%d: node %d not bit-identical to the standalone drain", gi, m.name, denseMass, v)
+					}
+				}
+			}
 		}
 	}
 }
@@ -117,13 +172,13 @@ func TestDenseDrainRestricted(t *testing.T) {
 	var d1, q1, d2, q2 ws.Marks
 	plain := pooledState(n, 1, &d1, &q1)
 	plain.RestrictTo(&restrict, skip)
-	RunFromPar(g, alpha, rmax, plain, []int32{1}, false, nil, PushConfig{})
+	RunFrom(g, alpha, rmax, plain, []int32{1}, false, nil, 0)
 
 	dense := pooledState(n, 1, &d2, &q2)
 	dense.RestrictTo(&restrict, skip)
-	RunFromPar(g, alpha, rmax, dense, []int32{1}, false, nil, PushConfig{DenseMass: 128})
+	RunFrom(g, alpha, rmax, dense, []int32{1}, false, nil, 128)
 	if dense.Sweeps == 0 {
-		t.Skip("graph too sparse to escalate at DenseMass=128")
+		t.Skip("graph too sparse to escalate at denseMass=128")
 	}
 
 	var prsd, drsd float64

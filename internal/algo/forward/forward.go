@@ -6,6 +6,8 @@
 package forward
 
 import (
+	"math"
+
 	"resacc/internal/algo"
 	"resacc/internal/graph"
 	"resacc/internal/ws"
@@ -24,14 +26,8 @@ type State struct {
 	// workspace) set it to the workspace's dirty set so reset stays sparse.
 	Track *ws.Marks
 
-	// Rounds and MaxFrontier are telemetry from the round-synchronous
-	// parallel drain (see RunFromPar): rounds executed and the largest
-	// frontier snapshot. Both stay zero when the sequential drain handled
-	// the whole search.
-	Rounds      int64
-	MaxFrontier int
 	// Sweeps counts whole-range dense-sweep rounds run by the powerpush
-	// backend (see PushConfig.DenseMass); zero when the drain stayed on the
+	// backend (see RunFrom's denseMass); zero when the drain stayed on the
 	// queue.
 	Sweeps int64
 
@@ -138,25 +134,27 @@ func Run(g *graph.Graph, alpha, rmax float64, st *State) {
 			st.enqueue(v)
 		}
 	}
-	st.drain(g, alpha, rmax, nil)
+	st.drain(g, alpha, rmax, nil, 0)
 }
 
 // RunFrom is Run with an explicit seed set, for callers (OMFWD) that know
 // exactly which nodes may satisfy the push condition; it avoids the O(n)
 // scan. Seeds that do not satisfy the condition are pushed anyway when
 // force is true (Algorithm 4 pushes every initially enqueued node).
-func RunFrom(g *graph.Graph, alpha, rmax float64, st *State, seeds []int32, force bool) {
-	RunFromCtx(g, alpha, rmax, st, seeds, force, nil)
-}
-
-// RunFromCtx is RunFrom with cooperative cancellation: when done (a query
-// context's Done channel) fires, the drain stops at the next amortized
-// check and RunFromCtx reports true. Every push preserves the forward-push
-// invariant, so the interrupted state is a valid underestimate whose error
-// is bounded by the remaining residue sum. A nil done is free.
-func RunFromCtx(g *graph.Graph, alpha, rmax float64, st *State, seeds []int32, force bool, done <-chan struct{}) (aborted bool) {
+//
+// done (a query context's Done channel, nil = never) cancels the drain at
+// its next amortized check, and RunFrom then reports true. Every push
+// preserves the forward-push invariant, so the interrupted state is a
+// valid underestimate whose error is bounded by the remaining residue sum.
+//
+// denseMass > 0 arms the dense-sweep backend on a pooled State (Track and
+// UseScratch both set): once the queue's pending out-edge mass reaches
+// denseMass, the drain hands the state to powerpush.Sweep until the
+// frontier thins again (see drainDense). Searches that never reach it, and
+// every search with denseMass ≤ 0, run the plain queue drain.
+func RunFrom(g *graph.Graph, alpha, rmax float64, st *State, seeds []int32, force bool, done <-chan struct{}, denseMass int) (aborted bool) {
 	st.seed(g, rmax, seeds, force)
-	return st.drain(g, alpha, rmax, done)
+	return st.drain(g, alpha, rmax, done, denseMass)
 }
 
 // seed enqueues the initial work set: every seed above the push threshold,
@@ -200,23 +198,18 @@ func (st *State) queued(v int32) bool {
 	return st.inQueue[v]
 }
 
-// enqueue adds v to the work queue (deduplicated) and reports whether it
-// was newly added, which the adaptive drain uses to keep its pending
-// out-edge-mass estimate incremental.
-func (st *State) enqueue(v int32) bool {
+// enqueue adds v to the work queue unless it is already queued.
+func (st *State) enqueue(v int32) {
 	if st.queueMarks != nil {
 		if st.queueMarks.Mark(v) {
 			st.queue = append(st.queue, v)
-			return true
 		}
-		return false
+		return
 	}
 	if !st.inQueue[v] {
 		st.inQueue[v] = true
 		st.queue = append(st.queue, v)
-		return true
 	}
-	return false
 }
 
 func (st *State) dequeued(v int32) {
@@ -244,89 +237,29 @@ const cancelCheckMask = 255
 // full capacity survives for reuse via TakeQueue. It reports whether the
 // done channel cut the drain short.
 //
-// It dispatches between two bodies of the same loop: a specialized one for
-// the pooled configuration (Track and queueMarks both set — how every
-// core-solver push phase runs) and a generic fallback. The split exists
-// because the dispatch branches ("is a dirty set attached? which queue
-// bookkeeping?") would otherwise run per edge of the hottest loop in the
-// repository; hoisting them out is worth ~10% of whole-query latency.
-func (st *State) drain(g *graph.Graph, alpha, rmax float64, done <-chan struct{}) (aborted bool) {
+// It dispatches between two bodies of the same loop: drainDense for the
+// pooled configuration (Track and queueMarks both set — how every
+// core-solver push phase runs) and drainGeneric for standalone States. The
+// split exists because the dispatch branches ("is a dirty set attached?
+// which queue bookkeeping?") would otherwise run per edge of the hottest
+// loop in the repository; hoisting them out is worth ~10% of whole-query
+// latency. An unarmed sweep (denseMass ≤ 0) becomes a threshold of
+// math.MaxInt, which the pending out-edge mass never reaches; 0 would
+// start a sweep at once.
+func (st *State) drain(g *graph.Graph, alpha, rmax float64, done <-chan struct{}, denseMass int) (aborted bool) {
 	if st.Track != nil && st.queueMarks != nil {
-		return st.drainPooled(g, alpha, rmax, done)
+		if denseMass <= 0 {
+			denseMass = math.MaxInt
+		}
+		return st.drainDense(g, alpha, rmax, done, denseMass)
 	}
 	return st.drainGeneric(g, alpha, rmax, done)
 }
 
-// drainPooled is drain's loop for the pooled configuration: every touch is
-// recorded in Track and queue membership lives in the generation-stamped
-// queueMarks, unconditionally. The bookkeeping pointers are hoisted into
-// locals — the compiler cannot prove that writes through the residue slice
-// don't alias the State's own fields, so field accesses would reload per
-// edge.
-//
-// Unlike drainGeneric, push eligibility (mayPush) is checked at dequeue
-// time rather than per arriving edge: an ineligible node (the h-HopFWD
-// source or a frontier node outside the subgraph) may enter the queue but
-// is discarded when popped, before its residue is disturbed. The sequence
-// of pushes — and therefore every reserve/residue value — is bit-identical
-// either way; what moves is the cost, from one restriction stamp load per
-// edge of the hottest loop to one check per (much rarer) dequeue. Any
-// behavioural change here must keep drainGeneric and drainAdaptive's
-// sequential prefix bit-identical in push order and float summation order.
-func (st *State) drainPooled(g *graph.Graph, alpha, rmax float64, done <-chan struct{}) (aborted bool) {
-	track, qm := st.Track, st.queueMarks
-	restrict, skip, hasSkip := st.restrict, st.skip, st.hasSkip
-	reserve, residue := st.Reserve, st.Residue
-	var pushes int64
-	for head := 0; head < len(st.queue); head++ {
-		if done != nil && head&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				st.Pushes += pushes
-				st.queue = st.queue[:0]
-				return true
-			default:
-			}
-		}
-		v := st.queue[head]
-		qm.Unmark(v)
-		if hasSkip && v == skip {
-			continue
-		}
-		if restrict != nil && !restrict.Has(v) {
-			continue
-		}
-		rv := residue[v]
-		if rv == 0 {
-			continue
-		}
-		track.Mark(v)
-		residue[v] = 0
-		pushes++
-		d := g.OutDegree(v)
-		if d == 0 {
-			// Dead-end semantics: the walk stops here with certainty.
-			reserve[v] += rv
-			continue
-		}
-		reserve[v] += alpha * rv
-		share := (1 - alpha) * rv / float64(d)
-		for _, w := range g.Out(v) {
-			track.Mark(w)
-			residue[w] += share
-			if !qm.Has(w) && satisfies(g, rmax, residue[w], w) && qm.Mark(w) {
-				st.queue = append(st.queue, w)
-			}
-		}
-	}
-	st.Pushes += pushes
-	st.queue = st.queue[:0]
-	return false
-}
-
 // drainGeneric is drain's loop for standalone States (no dirty tracking
-// and/or dense []bool queue bookkeeping). Keep in lockstep with
-// drainPooled.
+// and/or dense []bool queue bookkeeping). Keep in lockstep with drainDense's
+// queue loop: below its sweep threshold the two push the same nodes in the
+// same order and produce the same bits.
 func (st *State) drainGeneric(g *graph.Graph, alpha, rmax float64, done <-chan struct{}) (aborted bool) {
 	for head := 0; head < len(st.queue); head++ {
 		if done != nil && head&cancelCheckMask == 0 {

@@ -9,6 +9,7 @@ import (
 	"resacc/internal/algo/power"
 	"resacc/internal/graph"
 	"resacc/internal/graph/gen"
+	"resacc/internal/ws"
 )
 
 func TestFigure1Trace(t *testing.T) {
@@ -108,14 +109,14 @@ func TestRunFromForce(t *testing.T) {
 	st := NewState(3, 0)
 	st.Residue[0] = 1e-9 // far below any reasonable threshold
 	st.EnsureQueue(3)
-	RunFrom(g, 0.2, 0.5, st, []int32{0}, true)
+	RunFrom(g, 0.2, 0.5, st, []int32{0}, true, nil, 0)
 	if st.Reserve[0] == 0 {
 		t.Fatal("forced seed did not push")
 	}
 	// Unforced: nothing happens.
 	st2 := NewState(3, 0)
 	st2.Residue[0] = 1e-9
-	RunFrom(g, 0.2, 0.5, st2, []int32{0}, false)
+	RunFrom(g, 0.2, 0.5, st2, []int32{0}, false, nil, 0)
 	if st2.Reserve[0] != 0 {
 		t.Fatal("unforced sub-threshold seed pushed")
 	}
@@ -167,5 +168,29 @@ func TestDeadEndPushConvertsAll(t *testing.T) {
 	}
 	if st.Residue[0]+st.Residue[1] != 0 {
 		t.Fatalf("residues should be zero: %v", st.Residue)
+	}
+}
+
+// TestSparseResidueSumMatchesDense: with Track set ResidueSum must agree
+// with the dense scan (satellite: O(dirty) instead of O(n)).
+func TestSparseResidueSumMatchesDense(t *testing.T) {
+	g := gen.ErdosRenyi(400, 2000, 21)
+	n := g.N()
+	st := &State{Reserve: make([]float64, n), Residue: make([]float64, n)}
+	var track, inQueue ws.Marks
+	track.Grow(n)
+	inQueue.Grow(n)
+	st.Track = &track
+	st.UseScratch(&inQueue, nil)
+	st.Residue[0] = 1
+	track.Mark(0)
+	RunFrom(g, 0.2, 1e-4, st, []int32{0}, false, nil, 0)
+	sparse := st.ResidueSum()
+	dense := 0.0
+	for _, r := range st.Residue {
+		dense += r
+	}
+	if math.Abs(sparse-dense) > 1e-12 {
+		t.Fatalf("sparse ResidueSum=%v, dense=%v", sparse, dense)
 	}
 }

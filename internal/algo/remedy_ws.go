@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"resacc/internal/algo/alias"
 	"resacc/internal/crash"
 	"resacc/internal/faultinject"
 	"resacc/internal/graph"
@@ -51,22 +50,6 @@ func RemedyWS(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers in
 // *crash.PanicError carrying the worker's stack. The per-worker
 // accumulators are discarded rather than pooled on that path.
 func RemedyWSCtx(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers int, done <-chan struct{}) RemedyStats {
-	return RemedyWSTab(g, p, w, seed, workers, nil, done)
-}
-
-// RemedyWSTab is RemedyWSCtx with an optional alias table: when tab is
-// non-nil (and was built for this graph at this alpha — mismatches fall
-// back to direct sampling rather than silently answering a different
-// query), walks sample through tab.Walk's fused one-draw-per-step scheme
-// instead of algo.Walk's restart-then-neighbour draws. The endpoint
-// distribution is identical up to the table's 1/2⁶⁴ quantization, but the
-// rng consumption differs, so for a fixed seed the two variants return
-// different (equally valid, same ε/δ guarantee) estimates. Per (seed,
-// workers, tab-present) the result is still fully deterministic.
-func RemedyWSTab(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers int, tab *alias.Table, done <-chan struct{}) RemedyStats {
-	if tab != nil && (tab.Alpha() != p.Alpha || tab.N() != g.N()) {
-		tab = nil
-	}
 	var st RemedyStats
 	w.Cands = w.Cands[:0]
 	for _, v := range w.Dirty.Touched() {
@@ -123,13 +106,7 @@ func RemedyWSTab(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers
 					}
 				}
 				wdone++
-				var t int32
-				if tab != nil {
-					t = tab.Walk(v, &w.Rng)
-				} else {
-					t = Walk(g, v, p.Alpha, &w.Rng)
-				}
-				w.AddReserve(t, inc)
+				w.AddReserve(Walk(g, v, p.Alpha, &w.Rng), inc)
 			}
 			st.Walks += nv
 			remaining -= rv
@@ -184,11 +161,11 @@ func RemedyWSTab(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
-		// workers and tab are passed as arguments, not captured: a captured
-		// variable that is ever reassigned (the clamp and the mismatch
-		// fallback above) would be moved to the heap at function entry,
-		// costing an allocation even on the sequential path.
-		go func(wk, workers int, tab *alias.Table) {
+		// workers is passed as an argument, not captured: a captured
+		// variable that is ever reassigned (the clamp above) would be moved
+		// to the heap at function entry, costing an allocation even on the
+		// sequential path.
+		go func(wk, workers int) {
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
@@ -221,17 +198,11 @@ func RemedyWSTab(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers
 						}
 					}
 					wdone++
-					var t int32
-					if tab != nil {
-						t = tab.Walk(v, r)
-					} else {
-						t = Walk(g, v, p.Alpha, r)
-					}
-					a.Add(t, inc)
+					a.Add(Walk(g, v, p.Alpha, r), inc)
 				}
 			}
 			accums[wk] = a
-		}(wk, workers, tab)
+		}(wk, workers)
 	}
 	wg.Wait()
 	if workerPanic != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"resacc/internal/algo"
-	"resacc/internal/algo/forward"
 	"resacc/internal/graph/gen"
 	"resacc/internal/ws"
 )
@@ -121,7 +120,7 @@ func TestStatsSubgraphSizeMatchesMembership(t *testing.T) {
 	g := gen.ErdosRenyi(300, 1500, 5)
 	p := algo.DefaultParams(g)
 	w := ws.New(g.N())
-	hop := runHHopFWD(g, 0, p.Alpha, p.RMaxHop, p.H, false, w, forward.PushConfig{}, nil)
+	hop := runHHopFWD(g, 0, p.Alpha, p.RMaxHop, p.H, false, w, 0, nil)
 	count := 0
 	for v := int32(0); int(v) < g.N(); v++ {
 		if w.InSub.Has(v) {
@@ -132,7 +131,7 @@ func TestStatsSubgraphSizeMatchesMembership(t *testing.T) {
 		t.Fatalf("subSize=%d, marked members=%d", hop.subSize, count)
 	}
 	w2 := ws.New(g.N())
-	whole := runHHopFWD(g, 0, p.Alpha, p.RMaxHop, p.H, true, w2, forward.PushConfig{}, nil)
+	whole := runHHopFWD(g, 0, p.Alpha, p.RMaxHop, p.H, true, w2, 0, nil)
 	if whole.subSize != g.N() {
 		t.Fatalf("whole-graph subSize=%d, want n=%d", whole.subSize, g.N())
 	}

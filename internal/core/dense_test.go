@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"resacc/internal/algo"
-	"resacc/internal/algo/alias"
 	"resacc/internal/eval"
 	"resacc/internal/graph"
 	"resacc/internal/graph/gen"
@@ -57,26 +56,6 @@ func TestDenseSwitchEquivalentToQueueDrain(t *testing.T) {
 	for v := 0; v < g.N(); v++ {
 		if diff := math.Abs(wQ.Reserve[v] - wD.Reserve[v]); diff > bound {
 			t.Fatalf("node %d: |queue−dense| = %v > residual bound %v", v, diff, bound)
-		}
-	}
-}
-
-// TestSolverAliasMeetsGuarantee: alias-table walks carry the same ε/δ
-// contract as direct walks.
-func TestSolverAliasMeetsGuarantee(t *testing.T) {
-	g := gen.RMAT(9, 6, 29)
-	p := algo.DefaultParams(g)
-	p.Seed = 17
-	tab := alias.Build(g, p.Alpha)
-	for _, workers := range []int{0, 3} {
-		s := Solver{Workers: workers, Alias: tab}
-		est, err := s.SingleSource(g, 0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := groundTruth(t, g, 0, p)
-		if rel := eval.MaxRelErrAbove(truth, est, p.Delta); rel > p.Epsilon {
-			t.Fatalf("workers=%d: alias walks max rel err %v > ε=%v", workers, rel, p.Epsilon)
 		}
 	}
 }

@@ -22,11 +22,6 @@ type hopInfo struct {
 	subSize int
 
 	pushes int64
-	// rounds and maxFrontier are the parallel drain's telemetry: rounds
-	// executed and largest frontier snapshot (both zero when the
-	// sequential drain handled the phase).
-	rounds      int64
-	maxFrontier int
 	// sweeps counts the dense backend's whole-range rounds (zero when the
 	// drain stayed on the queue).
 	sweeps int64
@@ -76,12 +71,16 @@ func pollDone(done <-chan struct{}, iter int) bool {
 // pays neither the allocation nor the O(n) "everything is in the subgraph"
 // memset the dense representation needed.
 //
+// The cascade runs on forward.RunFrom's pooled drain, which escalates to
+// whole-range dense sweeps once its pending out-edge mass reaches
+// denseMass (0 = queue only; see Solver.DenseSwitch).
+//
 // done, when non-nil, is the query context's cancellation channel; the
 // push loop polls it at amortized intervals and stops early (info.aborted)
 // when it fires, skipping the updating phase — the geometric rescaling is
 // only valid at quiescence, while the raw reserve/residue state is valid
 // at every push boundary.
-func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeGraph bool, w *ws.Workspace, pc forward.PushConfig, done <-chan struct{}) hopInfo {
+func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeGraph bool, w *ws.Workspace, denseMass int, done <-chan struct{}) hopInfo {
 	n := g.N()
 	w.Reset(n)
 	info := hopInfo{t: 1, s: 1}
@@ -122,10 +121,8 @@ func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeG
 	for _, nb := range g.Out(src) {
 		w.AddResidue(nb, share)
 	}
-	// Lines 3-7: push at subgraph nodes (never at s) until quiescent. The
-	// cascade runs on the forward engine — sequentially, or round-parallel
-	// past the engagement threshold when pc.Workers > 1 — restricted to
-	// the subgraph members minus the source.
+	// Lines 3-7: push at subgraph nodes (never at s) until quiescent: the
+	// forward drain, restricted to the subgraph members minus the source.
 	var st forward.State
 	st.Reserve, st.Residue = w.Reserve, w.Residue
 	st.Track = &w.Dirty
@@ -135,10 +132,9 @@ func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeG
 		st.RestrictTo(&w.InSub, src)
 	}
 	st.UseScratch(&w.InQueue, w.Queue)
-	info.aborted = forward.RunFromPar(g, alpha, rmaxHop, &st, g.Out(src), false, done, pc)
+	info.aborted = forward.RunFrom(g, alpha, rmaxHop, &st, g.Out(src), false, done, denseMass)
 	w.Queue = st.TakeQueue()
 	info.pushes += st.Pushes
-	info.rounds, info.maxFrontier = st.Rounds, st.MaxFrontier
 	info.sweeps = st.Sweeps
 	if info.aborted {
 		// The updating phase's geometric rescaling models T further
@@ -196,7 +192,7 @@ func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeG
 // search with threshold rmaxHop restricted to the h-hop subgraph, with the
 // source pushing repeatedly like any other node (the looping phenomenon of
 // §IV-A is incurred in full).
-func runRestrictedForward(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, w *ws.Workspace, pc forward.PushConfig, done <-chan struct{}) hopInfo {
+func runRestrictedForward(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, w *ws.Workspace, denseMass int, done <-chan struct{}) hopInfo {
 	n := g.N()
 	w.Reset(n)
 	info := hopInfo{t: 0, s: 1}
@@ -223,10 +219,9 @@ func runRestrictedForward(g *graph.Graph, src int32, alpha, rmaxHop float64, h i
 	st.Track = &w.Dirty
 	st.RestrictTo(&w.InSub, -1)
 	st.UseScratch(&w.InQueue, w.Queue)
-	info.aborted = forward.RunFromPar(g, alpha, rmaxHop, &st, w.Seeds, false, done, pc)
+	info.aborted = forward.RunFrom(g, alpha, rmaxHop, &st, w.Seeds, false, done, denseMass)
 	w.Queue = st.TakeQueue()
 	info.pushes = st.Pushes
-	info.rounds, info.maxFrontier = st.Rounds, st.MaxFrontier
 	info.sweeps = st.Sweeps
 	info.r1 = w.Residue[src]
 	return info

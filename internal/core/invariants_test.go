@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"resacc/internal/algo"
-	"resacc/internal/algo/forward"
 	"resacc/internal/graph"
 	"resacc/internal/graph/gen"
 	"resacc/internal/ws"
@@ -20,11 +19,11 @@ func TestPipelineMassConservation(t *testing.T) {
 		g := gen.ErdosRenyi(120, 700, seed)
 		h := int(hRaw%4) + 1
 		w := ws.New(g.N())
-		hop := runHHopFWD(g, 0, 0.2, 1e-10, h, false, w, forward.PushConfig{}, nil)
+		hop := runHHopFWD(g, 0, 0.2, 1e-10, h, false, w, 0, nil)
 		if math.Abs(sum(w.Reserve)+sum(w.Residue)-1) > 1e-9 {
 			return false
 		}
-		runOMFWD(g, 0.2, 1e-5, w, hop.frontier, forward.PushConfig{}, nil)
+		runOMFWD(g, 0.2, 1e-5, w, hop.frontier, 0, nil)
 		return math.Abs(sum(w.Reserve)+sum(w.Residue)-1) < 1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
@@ -38,9 +37,9 @@ func TestOMFWDReducesResidue(t *testing.T) {
 	check := func(seed uint64) bool {
 		g := gen.RMAT(8, 5, seed)
 		w := ws.New(g.N())
-		hop := runHHopFWD(g, 1, 0.2, 1e-12, 2, false, w, forward.PushConfig{}, nil)
+		hop := runHHopFWD(g, 1, 0.2, 1e-12, 2, false, w, 0, nil)
 		before := sum(w.Residue)
-		runOMFWD(g, 0.2, 1e-6, w, hop.frontier, forward.PushConfig{}, nil)
+		runOMFWD(g, 0.2, 1e-6, w, hop.frontier, 0, nil)
 		after := sum(w.Residue)
 		return after <= before+1e-12
 	}

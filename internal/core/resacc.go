@@ -24,8 +24,6 @@ import (
 	"time"
 
 	"resacc/internal/algo"
-	"resacc/internal/algo/alias"
-	"resacc/internal/algo/forward"
 	"resacc/internal/crash"
 	"resacc/internal/faultinject"
 	"resacc/internal/graph"
@@ -114,13 +112,6 @@ type Stats struct {
 	RSumAfterHop, RSumAfterOMFWD float64
 	// Walks is the number of remedy random walks simulated.
 	Walks int64
-	// HopRounds and OMFWDRounds count the round-synchronous parallel
-	// drain's rounds per push phase, and MaxFrontier is the largest
-	// frontier either phase snapshot. All zero when the sequential drain
-	// handled the query (PushWorkers ≤ 1 or below the engagement
-	// threshold).
-	HopRounds, OMFWDRounds int64
-	MaxFrontier            int
 	// HopSweeps and OMFWDSweeps count whole-range dense-sweep rounds run by
 	// the powerpush backend per push phase (see Solver.DenseSwitch); zero
 	// when the drains stayed on the queue.
@@ -154,10 +145,6 @@ func (s Stats) String() string {
 		s.OMFWD.Round(time.Microsecond), s.OMFWDPushes,
 		s.Remedy.Round(time.Microsecond), s.Walks, s.RSumAfterOMFWD,
 		s.Total().Round(time.Microsecond))
-	if s.HopRounds > 0 || s.OMFWDRounds > 0 {
-		line += fmt.Sprintf(" par-push (rounds=%d+%d max_frontier=%d)",
-			s.HopRounds, s.OMFWDRounds, s.MaxFrontier)
-	}
 	if s.HopSweeps > 0 || s.OMFWDSweeps > 0 {
 		line += fmt.Sprintf(" dense-push (sweeps=%d+%d)", s.HopSweeps, s.OMFWDSweeps)
 	}
@@ -180,36 +167,16 @@ type Solver struct {
 	// wall time on large graphs and parallelizes embarrassingly. Results
 	// stay deterministic per (Seed, Workers).
 	Workers int
-	// PushWorkers parallelizes the two push phases' frontier drains with
-	// the round-synchronous engine (0 or 1 = the classic sequential
-	// drain). Small queries stay sequential — and bit-identical to
-	// PushWorkers=1 — below the engagement threshold; past it, results
-	// are numerically equivalent and deterministic per PushWorkers (a
-	// different worker count is a different, equally valid fixed point).
-	PushWorkers int
-	// PushEngage overrides the parallel drain's engagement threshold
-	// (0 = forward.DefaultEngageMass). Mostly a test/tuning knob.
-	PushEngage int
 	// DenseSwitch sets the dense-sweep switchover threshold as a fraction
-	// of |E|: when the sequential drain's pending out-edge mass crosses
+	// of |E|: when the push drain's pending out-edge mass crosses
 	// DenseSwitch·|E|, the push phases escalate to CSR-ordered whole-range
 	// sweeps (package powerpush) and fall back to the queue once the
 	// frontier thins again. Zero means the default fraction
 	// (DefaultDenseSwitch = 1/8); negative disables the sweep backend
 	// entirely. Below the threshold results are bit-identical to the plain
 	// drain; past it they are residue-bound-equivalent (same quiescence
-	// condition and error bounds, different float summation order). Ignored
-	// when PushWorkers > 1 — the round-synchronous engine owns the dense
-	// regime there.
+	// condition and error bounds, different float summation order).
 	DenseSwitch float64
-	// Alias, when non-nil, routes the remedy phase's random walks through
-	// the alias table (one fused RNG draw per step) instead of
-	// algo.Walk's restart-then-neighbour draws. The table must have been
-	// built for this graph at the query's alpha; mismatches fall back to
-	// direct sampling. Estimates differ per-walk from the direct path —
-	// same distribution, same ε/δ guarantee — and stay deterministic per
-	// (Seed, Workers, table-present).
-	Alias *alias.Table
 	// ScoreRemap, when non-nil, is the relabeled→original id permutation
 	// (graph.RelabelByDegree's toOld) applied as scores are extracted: the
 	// query runs in the relabeled id space and the answer comes out in the
@@ -238,25 +205,24 @@ func (s Solver) pool() *ws.Pool {
 	return defaultPool
 }
 
-// DefaultDenseSwitch is the fraction of |E| at which the sequential drain
+// DefaultDenseSwitch is the fraction of |E| at which the push drain
 // escalates to dense sweeps when Solver.DenseSwitch is zero. At an eighth
 // of the graph's out-edge mass pending, the queue's per-edge bookkeeping
 // reliably loses to CSR-ordered whole-range rounds (see BENCH_resacc.json).
 const DefaultDenseSwitch = 0.125
 
-// pushConfig is the forward-engine configuration both push phases run
-// under. It is graph-dependent: the dense-sweep threshold is a fraction of
-// this graph's edge count.
-func (s Solver) pushConfig(g *graph.Graph) forward.PushConfig {
-	pc := forward.PushConfig{Workers: s.PushWorkers, EngageMass: s.PushEngage}
+// pushConfig is the dense-sweep mass both push phases run under
+// (forward.RunFrom's denseMass; 0 = queue only). It is graph-dependent:
+// the threshold is a fraction of this graph's edge count.
+func (s Solver) pushConfig(g *graph.Graph) int {
 	frac := s.DenseSwitch
 	if frac == 0 {
 		frac = DefaultDenseSwitch
 	}
-	if frac > 0 {
-		pc.DenseMass = int(frac * float64(g.M()))
+	if frac < 0 {
+		return 0
 	}
-	return pc
+	return int(frac * float64(g.M()))
 }
 
 // Query answers the SSRWR query and returns the per-phase statistics. It
@@ -331,19 +297,18 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 
 	// Phase 1: h-HopFWD (or its ablated replacements).
 	start := time.Now()
-	pc := s.pushConfig(g)
+	denseMass := s.pushConfig(g)
 	var hop hopInfo
 	switch s.Variant {
 	case NoLoop:
-		hop = runRestrictedForward(g, src, p.Alpha, p.RMaxHop, p.H, w, pc, done)
+		hop = runRestrictedForward(g, src, p.Alpha, p.RMaxHop, p.H, w, denseMass, done)
 	case NoSubgraph:
-		hop = runHHopFWD(g, src, p.Alpha, p.RMaxHop, p.H, true, w, pc, done)
+		hop = runHHopFWD(g, src, p.Alpha, p.RMaxHop, p.H, true, w, denseMass, done)
 	default:
-		hop = runHHopFWD(g, src, p.Alpha, p.RMaxHop, p.H, false, w, pc, done)
+		hop = runHHopFWD(g, src, p.Alpha, p.RMaxHop, p.H, false, w, denseMass, done)
 	}
 	stats.HopFWD = time.Since(start)
 	stats.HopPushes = hop.pushes
-	stats.HopRounds, stats.MaxFrontier = hop.rounds, hop.maxFrontier
 	stats.HopSweeps = hop.sweeps
 	stats.R1, stats.T, stats.S = hop.r1, hop.t, hop.s
 	stats.SubgraphSize = hop.subSize
@@ -361,13 +326,10 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 	stats.RSumAfterOMFWD = stats.RSumAfterHop
 	if s.Variant != NoOMFWD && s.Variant != NoSubgraph {
 		start = time.Now()
-		om := runOMFWD(g, p.Alpha, p.RMaxF, w, hop.frontier, pc, done)
+		om := runOMFWD(g, p.Alpha, p.RMaxF, w, hop.frontier, denseMass, done)
 		stats.OMFWD = time.Since(start)
-		stats.OMFWDPushes, stats.OMFWDRounds = om.pushes, om.rounds
+		stats.OMFWDPushes = om.pushes
 		stats.OMFWDSweeps = om.sweeps
-		if om.maxFrontier > stats.MaxFrontier {
-			stats.MaxFrontier = om.maxFrontier
-		}
 		stats.RSumAfterOMFWD = om.rsum
 		if om.aborted {
 			stats.Degraded = true
@@ -381,7 +343,7 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 	// Phase 3: remedy.
 	faultinject.Hit("core.remedy.start")
 	start = time.Now()
-	rs := algo.RemedyWSTab(g, p, w, p.Seed, s.Workers, s.Alias, done)
+	rs := algo.RemedyWSCtx(g, p, w, p.Seed, s.Workers, done)
 	stats.Remedy = time.Since(start)
 	stats.Walks = rs.Walks
 	if rs.Aborted {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"resacc/internal/algo"
-	"resacc/internal/algo/forward"
 	"resacc/internal/algo/power"
 	"resacc/internal/eval"
 	"resacc/internal/graph"
@@ -41,7 +40,7 @@ type hopRun struct {
 
 func runHop(g *graph.Graph, src int32, alpha, rmax float64, h int, whole bool) hopRun {
 	w := ws.New(g.N())
-	return hopRun{runHHopFWD(g, src, alpha, rmax, h, whole, w, forward.PushConfig{}, nil), w}
+	return hopRun{runHHopFWD(g, src, alpha, rmax, h, whole, w, 0, nil), w}
 }
 
 func TestHHopFWDFigure3Trace(t *testing.T) {

@@ -16,7 +16,6 @@
 //	core.omfwd.start     before the OMFWD push cascade
 //	core.remedy.start    before the remedy walk phase
 //	algo.remedy.worker   inside each parallel remedy walk worker
-//	forward.push.worker  inside each parallel push worker (per span batch)
 //	serve.compute        on the pool worker, before the computation
 //	live.swap            in the snapshot-swap pipeline, after the new
 //	                     snapshot is built but before it is published

@@ -21,10 +21,10 @@ type Snapshot struct {
 	g     *graph.Graph
 	epoch uint64
 	// derived holds a serving-layer sidecar pinned to this snapshot's
-	// lifetime (relabel mappings, lazily built alias tables). It is written
-	// once via SetDerived before the snapshot is published through the
-	// atomic current pointer — that publication is the happens-before edge
-	// that makes the plain field safe for every reader.
+	// lifetime (the id mappings of a degree-relabeled snapshot). It is
+	// written once via SetDerived before the snapshot is published through
+	// the atomic current pointer — that publication is the happens-before
+	// edge that makes the plain field safe for every reader.
 	derived any
 
 	refs    atomic.Int64

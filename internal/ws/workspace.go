@@ -151,14 +151,6 @@ func (w *Workspace) ExtractScores() []float64 {
 	return out
 }
 
-// MarkAllDirty marks every slot of [0,n) dirty. The dense-sweep push
-// backend calls it once at engagement instead of recording per-edge
-// touches; the extra marks only cost the next Reset a zero-write to
-// already-zero slots.
-func (w *Workspace) MarkAllDirty() {
-	w.Dirty.MarkAll(w.n)
-}
-
 // ExtractScoresRemapped is ExtractScores with an id translation applied at
 // the copy: slot v of the (relabeled-graph) reserve lands at toOld[v] in
 // the output, so the serving boundary pays no second permutation pass or
