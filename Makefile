@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck rwrdbench-test check chaos bench bench-json load
+.PHONY: build test race vet fmt-check staticcheck rwrdbench-test check chaos bench bench-json load loc
 
 build:
 	$(GO) build ./...
@@ -63,3 +63,10 @@ bench-json:
 # small generated graph: single-query and batch modes, a few seconds each.
 load:
 	./scripts/loadsmoke.sh
+
+# loc prints the size yardstick ROADMAP.md tracks: non-test Go lines
+# outside the rwrdbench module (and outside hidden directories such as
+# .bench_build, the benchmark's build cache). It reports; it gates nothing.
+loc:
+	@printf 'non-test Go LOC outside rwrdbench/: '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './rwrdbench/*' ! -path './.*' -exec cat {} + | wc -l

@@ -13,6 +13,7 @@ package resacc
 
 import (
 	"io"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -155,6 +156,44 @@ func BenchmarkHHopFWDPhase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRemedyPhase times the remedy phase alone: algo.Remedy at
+// workers 1 on the post-push residues of rwrd's first top-k round
+// (webstan-s at scale 1, NScale 1/8, p_f/4) for the first 8 sources of
+// BenchmarkQueryTopK's rotation. The remedy never writes residues, so one
+// QueryWS per source leaves them in the workspace; each iteration restores
+// its source's residues into a reset workspace outside the timer.
+func BenchmarkRemedyPhase(b *testing.B) {
+	g := dataset.MustBuild("webstan-s", 1)
+	p := DefaultParams(g)
+	p.NScale, p.PFail = 1.0/8, p.PFail/4
+	r := rng.New(1)
+	w := ws.New(g.N())
+	type pushed struct {
+		dirty   []int32
+		residue []float64
+	}
+	srcs := make([]pushed, 8)
+	for i := range srcs {
+		core.Solver{}.QueryWS(g, int32(r.Intn(g.N())), p, w)
+		srcs[i].dirty = slices.Clone(w.Dirty.Touched())
+		for _, v := range srcs[i].dirty {
+			srcs[i].residue = append(srcs[i].residue, w.Residue[v])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		src := srcs[i%len(srcs)]
+		w.Reset(g.N())
+		for j, v := range src.dirty {
+			w.SetResidue(v, src.residue[j])
+		}
+		b.StartTimer()
+		algo.Remedy(g, p, w, p.Seed, 1, nil)
 	}
 }
 

@@ -2,7 +2,6 @@ package resacc
 
 import (
 	"io"
-	"time"
 
 	"resacc/internal/algo/bippr"
 	"resacc/internal/community"
@@ -14,13 +13,7 @@ import (
 // over a worker pool (workers ≤ 1 is sequential). Results are deterministic
 // for a fixed (Seed, workers) pair; the accuracy guarantee is unchanged.
 func QueryParallel(g *Graph, source int32, p Params, workers int) (*Result, error) {
-	start := time.Now()
-	scores, stats, err := core.Solver{Workers: workers}.Query(g, source, p)
-	notifyQueryHooks(QueryEvent{Graph: g, Source: source, Start: start, Duration: time.Since(start), Stats: stats, Err: err})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Source: source, Scores: scores, Stats: stats}, nil
+	return querySolver(g, source, p, core.Solver{Workers: workers})
 }
 
 // QueryPair estimates the single value π(s,t) with the bidirectional BiPPR

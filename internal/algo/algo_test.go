@@ -3,7 +3,6 @@ package algo
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"resacc/internal/graph"
 	"resacc/internal/rng"
@@ -135,111 +134,6 @@ func TestWalkCounter(t *testing.T) {
 	}
 	if sum != 1000 {
 		t.Fatalf("counts sum to %d", sum)
-	}
-}
-
-func TestRemedyUnbiased(t *testing.T) {
-	// E[remedy estimate of t] = Σ_v r(v)·π(v,t). On a 2-cycle with
-	// residue only at node 0, the closed-form π(0,0) = α/(1-(1-α)²).
-	b := graph.NewBuilder(2)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 0)
-	g := b.MustBuild()
-	alpha := 0.2
-	pi00 := alpha / (1 - (1-alpha)*(1-alpha))
-	p := DefaultParams(g)
-	p.Alpha = alpha
-
-	const trials = 300
-	acc := 0.0
-	for seed := uint64(0); seed < trials; seed++ {
-		pi := make([]float64, 2)
-		residue := []float64{0.5, 0}
-		Remedy(g, p, pi, residue, rng.New(seed))
-		acc += pi[0]
-	}
-	got := acc / trials
-	want := 0.5 * pi00
-	if math.Abs(got-want) > 0.01 {
-		t.Fatalf("mean remedy estimate %v, want %v", got, want)
-	}
-}
-
-func TestRemedyStatsAndBudget(t *testing.T) {
-	g := cycle(50)
-	p := DefaultParams(g)
-	pi := make([]float64, g.N())
-	residue := make([]float64, g.N())
-	residue[0], residue[10] = 0.3, 0.2
-	st := Remedy(g, p, pi, residue, rng.New(1))
-	if math.Abs(st.RSum-0.5) > 1e-12 {
-		t.Fatalf("RSum=%v", st.RSum)
-	}
-	if st.Walks <= 0 {
-		t.Fatal("no walks")
-	}
-	// Budgeted run walks fewer.
-	p.MaxWalks = 10
-	pi2 := make([]float64, g.N())
-	st2 := Remedy(g, p, pi2, residue, rng.New(1))
-	if st2.Walks > 10 {
-		t.Fatalf("budget exceeded: %d", st2.Walks)
-	}
-}
-
-func TestRemedyZeroResidue(t *testing.T) {
-	g := cycle(5)
-	p := DefaultParams(g)
-	pi := make([]float64, g.N())
-	st := Remedy(g, p, pi, make([]float64, g.N()), rng.New(1))
-	if st.Walks != 0 || st.RSum != 0 {
-		t.Fatal("remedy on zero residue should be a no-op")
-	}
-}
-
-func TestRemedyMassConservation(t *testing.T) {
-	// Property: the mass added by remedy equals r_sum exactly (each walk
-	// deposits r(v)/n_r(v), and n_r(v) walks run per v).
-	check := func(seed uint64) bool {
-		g := cycle(20)
-		p := DefaultParams(g)
-		p.Seed = seed
-		pi := make([]float64, g.N())
-		residue := make([]float64, g.N())
-		r := rng.New(seed)
-		total := 0.0
-		for i := 0; i < 5; i++ {
-			residue[r.Intn(g.N())] = r.Float64() * 0.1
-		}
-		for _, rv := range residue {
-			total += rv
-		}
-		Remedy(g, p, pi, residue, rng.New(seed))
-		added := 0.0
-		for _, x := range pi {
-			added += x
-		}
-		return math.Abs(added-total) < 1e-9
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIndexedRemedyUsesPools(t *testing.T) {
-	g := cycle(4)
-	p := DefaultParams(g)
-	pi := make([]float64, 4)
-	residue := []float64{0.4, 0, 0, 0}
-	// A pool that always "terminates" at node 2.
-	endpoints := make([][]int32, 4)
-	endpoints[0] = []int32{2}
-	st := IndexedRemedy(g, p, pi, residue, endpoints, rng.New(1))
-	if st.Walks == 0 {
-		t.Fatal("no walks")
-	}
-	if math.Abs(pi[2]-0.4) > 1e-12 {
-		t.Fatalf("pool endpoints ignored: pi=%v", pi)
 	}
 }
 

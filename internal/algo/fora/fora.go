@@ -17,7 +17,11 @@ import (
 	"resacc/internal/algo/forward"
 	"resacc/internal/graph"
 	"resacc/internal/rng"
+	"resacc/internal/ws"
 )
+
+// pool recycles the per-query workspaces of FORA and FORA+.
+var pool = ws.NewPool()
 
 // BalancedRMax returns FORA's cost-balancing forward threshold for graph g
 // under parameters p.
@@ -34,7 +38,7 @@ type Solver struct {
 	// RMax overrides the balanced forward threshold when non-zero.
 	RMax float64
 	// Workers parallelizes the remedy walks (0 or 1 = sequential), with
-	// the same deterministic fan-out as ResAcc's parallel remedy.
+	// the same deterministic fan-out as ResAcc's remedy.
 	Workers int
 }
 
@@ -53,14 +57,12 @@ func (s Solver) SingleSource(g *graph.Graph, src int32, p algo.Params) ([]float6
 	if rmax == 0 {
 		rmax = BalancedRMax(g, p)
 	}
-	st := forward.NewState(g.N(), src)
-	forward.Run(g, p.Alpha, rmax, st)
-	if s.Workers > 1 {
-		algo.RemedyParallel(g, p, st.Reserve, st.Residue, p.Seed, s.Workers)
-	} else {
-		algo.Remedy(g, p, st.Reserve, st.Residue, rng.New(p.Seed))
-	}
-	return st.Reserve, nil
+	w := pool.Get(g.N())
+	forward.RunWS(g, p.Alpha, rmax, w, src)
+	algo.Remedy(g, p, w, p.Seed, s.Workers, nil)
+	pi := w.ExtractScores()
+	pool.Put(w)
+	return pi, nil
 }
 
 // Index is FORA+'s precomputed structure: for every node v, a pool of
@@ -132,11 +134,27 @@ func (s PlusSolver) SingleSource(g *graph.Graph, src int32, p algo.Params) ([]fl
 	if err := p.Validate(g); err != nil {
 		return nil, err
 	}
+	if len(s.Index.endpoints) != g.N() {
+		return nil, fmt.Errorf("fora: FORA+ index covers %d nodes, graph has %d", len(s.Index.endpoints), g.N())
+	}
 	if err := algo.CheckSource(g, src); err != nil {
 		return nil, err
 	}
-	st := forward.NewState(g.N(), src)
-	forward.Run(g, p.Alpha, s.Index.rmax, st)
-	algo.IndexedRemedy(g, p, st.Reserve, st.Residue, s.Index.endpoints, rng.New(p.Seed))
-	return st.Reserve, nil
+	w := pool.Get(g.N())
+	forward.RunWS(g, p.Alpha, s.Index.rmax, w, src)
+	// The remedy's plan, with each walk read from v's endpoint pool instead
+	// of simulated. A pool shorter than n_r(v) is cycled: BuildIndex sizes
+	// pools to the largest n_r(v) a query can plan, so that is rare, and
+	// cycling keeps the estimator well-defined.
+	algo.PlanRemedy(p, w)
+	for i, v := range w.JobNodes {
+		n, ends := w.JobCounts[i], s.Index.endpoints[v]
+		inc := w.Residue[v] / float64(n)
+		for k := int64(0); k < n; k++ {
+			w.AddReserve(ends[k%int64(len(ends))], inc)
+		}
+	}
+	pi := w.ExtractScores()
+	pool.Put(w)
+	return pi, nil
 }

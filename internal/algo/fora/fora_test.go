@@ -7,6 +7,7 @@ import (
 	"resacc/internal/algo"
 	"resacc/internal/algo/power"
 	"resacc/internal/eval"
+	"resacc/internal/graph"
 	"resacc/internal/graph/gen"
 )
 
@@ -97,6 +98,42 @@ func TestPlusSolverRequiresIndex(t *testing.T) {
 	p := algo.DefaultParams(g)
 	if _, err := (PlusSolver{}).SingleSource(g, 0, p); err == nil {
 		t.Fatal("want missing index error")
+	}
+}
+
+// TestPlusSolverRejectsForeignIndex: an index built for a graph of another
+// size answers with an error, not an out-of-range panic in the remedy.
+func TestPlusSolverRejectsForeignIndex(t *testing.T) {
+	small, big := gen.ErdosRenyi(50, 300, 9), gen.ErdosRenyi(200, 1200, 9)
+	for _, c := range []struct{ built, queried *graph.Graph }{{small, big}, {big, small}} {
+		ix, err := BuildIndex(c.built, algo.DefaultParams(c.built), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (PlusSolver{Index: ix}).SingleSource(c.queried, 0, algo.DefaultParams(c.queried)); err == nil {
+			t.Fatalf("index over %d nodes answered a query on %d nodes", c.built.N(), c.queried.N())
+		}
+	}
+}
+
+// TestPlusSolverReadsEndpointPools: FORA+ answers the remedy's planned
+// walks from its endpoint pools instead of simulating them.
+func TestPlusSolverReadsEndpointPools(t *testing.T) {
+	b := graph.NewBuilder(4)
+	for v := int32(0); v < 4; v++ {
+		b.AddEdge(v, (v+1)%4)
+	}
+	g := b.MustBuild()
+	p := algo.DefaultParams(g)
+	// rmax 2 leaves the source's whole unit residue for the remedy, and
+	// every pool "terminates" at node 2.
+	ix := &Index{rmax: 2, endpoints: [][]int32{{2}, {2}, {2}, {2}}}
+	est, err := PlusSolver{Index: ix}.SingleSource(g, 0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(est[2]-1) > 1e-12 || est[0] != 0 || est[1] != 0 || est[3] != 0 {
+		t.Fatalf("pool endpoints ignored: est=%v", est)
 	}
 }
 

@@ -137,6 +137,21 @@ func Run(g *graph.Graph, alpha, rmax float64, st *State) {
 	st.drain(g, alpha, rmax, nil, 0)
 }
 
+// RunWS is Run from source s on a workspace: r(s) = 1, then the same
+// queue drain, push for push, with every write tracked in w.Dirty and the
+// queue bookkeeping borrowed from w.InQueue/w.Queue, so FORA and TopPPR can
+// hand w on to the remedy phase.
+func RunWS(g *graph.Graph, alpha, rmax float64, w *ws.Workspace, s int32) {
+	w.SetResidue(s, 1)
+	w.Seeds = append(w.Seeds[:0], s)
+	var st State
+	st.Reserve, st.Residue = w.Reserve, w.Residue
+	st.Track = &w.Dirty
+	st.UseScratch(&w.InQueue, w.Queue)
+	RunFrom(g, alpha, rmax, &st, w.Seeds, false, nil, 0)
+	w.Queue = st.TakeQueue()
+}
+
 // RunFrom is Run with an explicit seed set, for callers (OMFWD) that know
 // exactly which nodes may satisfy the push condition; it avoids the O(n)
 // scan. Seeds that do not satisfy the condition are pushed anyway when

@@ -27,8 +27,11 @@ import (
 	"resacc/internal/algo/fora"
 	"resacc/internal/algo/forward"
 	"resacc/internal/graph"
-	"resacc/internal/rng"
+	"resacc/internal/ws"
 )
+
+// pool recycles the per-query workspaces.
+var pool = ws.NewPool()
 
 // Solver is the TopPPR-style SSRWR solver.
 type Solver struct {
@@ -70,21 +73,18 @@ func (s Solver) SingleSource(g *graph.Graph, src int32, p algo.Params) ([]float6
 	}
 
 	// Phase 1: forward push.
-	rmaxF := fora.BalancedRMax(g, p)
-	st := forward.NewState(n, src)
-	forward.Run(g, p.Alpha, rmaxF, st)
+	w := pool.Get(n)
+	forward.RunWS(g, p.Alpha, fora.BalancedRMax(g, p), w, src)
+	// Keep the push reserves: the backward refinement needs them, and the
+	// walks below add onto w.Reserve (they never touch w.Residue).
+	pushed := w.ExtractScores()
 
 	// Phase 2: rough estimates via remedy walks (half the FORA budget: the
 	// backward phase will spend the other half on the frontier).
 	half := p
 	half.NScale = 0.5 * p.EffectiveNScale()
-	r := rng.New(p.Seed)
-	// Keep the pre-walk residues: the backward refinement needs them.
-	residue := make([]float64, n)
-	copy(residue, st.Residue)
-	rough := make([]float64, n)
-	copy(rough, st.Reserve)
-	remStats := algo.Remedy(g, half, rough, st.Residue, r)
+	remStats := algo.Remedy(g, half, w, p.Seed, 1, nil)
+	rough := w.ExtractScores()
 
 	// Phase 3: candidate frontier around the K-th largest rough estimate.
 	order := make([]int32, n)
@@ -126,10 +126,10 @@ func (s Solver) SingleSource(g *graph.Graph, src int32, p algo.Params) ([]float6
 	out := rough
 	for _, c := range candidates {
 		bw := backward.Run(g, p.Alpha, rmaxB, c)
-		est := st.Reserve[c]
+		est := pushed[c]
 		for _, u := range bw.Touched {
-			if residue[u] > 0 {
-				est += residue[u] * bw.Reserve[u]
+			if w.Residue[u] > 0 {
+				est += w.Residue[u] * bw.Reserve[u]
 			}
 		}
 		// The refined value replaces the rough one only if it is usable
@@ -139,5 +139,6 @@ func (s Solver) SingleSource(g *graph.Graph, src int32, p algo.Params) ([]float6
 			out[c] = est
 		}
 	}
+	pool.Put(w)
 	return out, nil
 }

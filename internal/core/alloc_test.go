@@ -19,7 +19,7 @@ func TestQueryWSSteadyStateAllocs(t *testing.T) {
 	p.Seed = 42
 	s := Solver{}
 	w := ws.New(g.N())
-	// Warm up: first runs grow Queue/Order/Seeds/Cands to their steady
+	// Warm up: first runs grow Queue/Order/Seeds and the remedy plan to their steady
 	// capacity.
 	for i := 0; i < 3; i++ {
 		s.QueryWS(g, 0, p, w)

@@ -116,3 +116,11 @@ func defaultTestParams(g *graph.Graph) algo.Params {
 	p.Seed = 1
 	return p
 }
+
+func sum(xs []float64) float64 {
+	total := 0.0
+	for _, x := range xs {
+		total += x
+	}
+	return total
+}

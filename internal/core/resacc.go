@@ -343,7 +343,7 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 	// Phase 3: remedy.
 	faultinject.Hit("core.remedy.start")
 	start = time.Now()
-	rs := algo.RemedyWSCtx(g, p, w, p.Seed, s.Workers, done)
+	rs := algo.Remedy(g, p, w, p.Seed, s.Workers, done)
 	stats.Remedy = time.Since(start)
 	stats.Walks = rs.Walks
 	if rs.Aborted {
@@ -353,12 +353,4 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 	}
 	algo.AddPushes(stats.HopPushes + stats.OMFWDPushes)
 	return stats
-}
-
-func sum(xs []float64) float64 {
-	total := 0.0
-	for _, x := range xs {
-		total += x
-	}
-	return total
 }

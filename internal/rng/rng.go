@@ -44,14 +44,9 @@ func (s *Source) Reseed(seed uint64) {
 	}
 }
 
-// Split returns a new Source whose stream is independent of s and of any
-// other Split result, suitable for handing to a worker goroutine.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
-// SplitInto is Split writing into dst instead of allocating: dst receives
-// the same state the corresponding Split call would have produced.
+// SplitInto reseeds dst, without allocating, to a stream independent of s
+// and of any other SplitInto result, suitable for handing to a worker
+// goroutine.
 func (s *Source) SplitInto(dst *Source) {
 	dst.Reseed(s.Uint64() ^ 0xd1b54a32d192ed03)
 }

@@ -140,8 +140,9 @@ func TestSampleEdgeCases(t *testing.T) {
 
 func TestSplitIndependence(t *testing.T) {
 	parent := New(99)
-	c1 := parent.Split()
-	c2 := parent.Split()
+	var c1, c2 Source
+	parent.SplitInto(&c1)
+	parent.SplitInto(&c2)
 	same := 0
 	for i := 0; i < 100; i++ {
 		if c1.Uint64() == c2.Uint64() {

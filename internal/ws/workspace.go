@@ -25,8 +25,8 @@ type Workspace struct {
 	// Residue is r(s,·), the mass not yet converted to reserve.
 	Residue []float64
 	// Dirty records every slot written in Reserve or Residue this query;
-	// only these slots are read back (result extraction, remedy candidate
-	// scan) or zeroed on Reset.
+	// only these slots are read back (result extraction, residue sums) or
+	// zeroed on Reset.
 	Dirty Marks
 
 	// InSub is membership in the h-hop subgraph V_{h-hop}(s).
@@ -36,14 +36,12 @@ type Workspace struct {
 	// Visited is BFS visited-set scratch (graph.BFSLayersScratch).
 	Visited Marks
 
-	// Queue, Order, Start, Seeds and Cands are reusable int buffers:
-	// push work queue, BFS layer order and layer boundaries, OMFWD seed
-	// list, and the sorted remedy candidate list.
+	// Queue, Order, Start and Seeds are reusable int buffers: push work
+	// queue, BFS layer order and layer boundaries, and push seed list.
 	Queue []int32
 	Order []int32
 	Start []int
 	Seeds []int32
-	Cands []int32
 
 	// Rng is the query's deterministic walk generator (reseeded per query),
 	// and Streams the per-worker generators split from it for the parallel
@@ -51,12 +49,11 @@ type Workspace struct {
 	Rng     rng.Source
 	Streams []rng.Source
 
-	// JobNodes/JobCounts/JobIncs are the planned remedy walk assignment
-	// (node, walk count, per-walk increment), kept as parallel slices so
+	// JobNodes/JobCounts are the planned remedy walk assignment (node,
+	// walk count; see algo.PlanRemedy), kept as parallel slices so
 	// replanning reuses their capacity.
 	JobNodes  []int32
 	JobCounts []int64
-	JobIncs   []float64
 }
 
 // New returns a ready Workspace for graphs up to n nodes.
@@ -98,10 +95,8 @@ func (w *Workspace) Reset(n int) {
 	w.Order = w.Order[:0]
 	w.Start = w.Start[:0]
 	w.Seeds = w.Seeds[:0]
-	w.Cands = w.Cands[:0]
 	w.JobNodes = w.JobNodes[:0]
 	w.JobCounts = w.JobCounts[:0]
-	w.JobIncs = w.JobIncs[:0]
 	w.n = n
 }
 

@@ -31,7 +31,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 out=${1:-BENCH_resacc.json}
-filter='^BenchmarkQueryTable3/(dblp-s|webstan-s)/(resacc|fora)$|^BenchmarkForwardPush$|^BenchmarkHHopFWDPhase(NoSweep)?$|^BenchmarkQueryPooledRepeat$|^BenchmarkQueryTopK$|^BenchmarkLiveWriteMix$'
+filter='^BenchmarkQueryTable3/(dblp-s|webstan-s)/(resacc|fora)$|^BenchmarkForwardPush$|^BenchmarkHHopFWDPhase(NoSweep)?$|^BenchmarkRemedyPhase$|^BenchmarkQueryPooledRepeat$|^BenchmarkQueryTopK$|^BenchmarkLiveWriteMix$'
 microfilter='^BenchmarkRandomWalk$'
 
 tmp=$(mktemp)
