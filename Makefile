@@ -13,10 +13,12 @@ race:
 
 # -lostcancel guards the context plumbing through the query path: every
 # WithCancel/WithDeadline must release its timer (the singleflight flight
-# contexts in particular).
+# contexts in particular). The chaos tests and fault points compile only
+# under the faultinject tag, so that build is vetted too.
 vet:
 	$(GO) vet -lostcancel ./...
 	$(GO) vet ./...
+	$(GO) vet -tags faultinject ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); \

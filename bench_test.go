@@ -74,9 +74,6 @@ func BenchmarkFig22(b *testing.B)  { benchExperiment(b, "F22") }
 func BenchmarkFig23(b *testing.B)  { benchExperiment(b, "F23", "dblp-s") }
 func BenchmarkTable7(b *testing.B) { benchExperiment(b, "T7") }
 func BenchmarkFig24(b *testing.B)  { benchExperiment(b, "F24", "dblp-s", "twitter-s") }
-func BenchmarkExtParallel(b *testing.B) {
-	benchExperiment(b, "X1", "webstan-s")
-}
 func BenchmarkExtTopK(b *testing.B) {
 	benchExperiment(b, "X2", "webstan-s")
 }
@@ -193,7 +190,7 @@ func BenchmarkRemedyPhase(b *testing.B) {
 			w.SetResidue(v, src.residue[j])
 		}
 		b.StartTimer()
-		algo.Remedy(g, p, w, p.Seed, 1, nil)
+		algo.Remedy(g, p, w, nil)
 	}
 }
 

@@ -5,7 +5,6 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,34 +14,19 @@ import (
 	"resacc/internal/faultinject"
 )
 
-// forceWalkParallelism raises GOMAXPROCS so the engine's walk-worker clamp
-// (GOMAXPROCS/Workers) permits parallel remedy walks even on a single-CPU
-// CI box — the containment tests need the panic to fire on detached worker
-// goroutines, and concurrency (not parallelism) is what -race checks.
-func forceWalkParallelism(t *testing.T) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
-
 // TestChaosPanicInWalkWorkerKeepsServing is the end-to-end containment
-// proof: a panic injected into the remedy walk workers turns exactly the
-// faulted query into an HTTP 500, bumps resacc_panics_total, and leaves the
-// server fully able to answer the next request.
+// proof: a panic injected into the remedy's walk loop, on a serve worker
+// goroutine, turns exactly the faulted query into an HTTP 500, bumps
+// resacc_panics_total, and leaves the server fully able to answer the next
+// request.
 func TestChaosPanicInWalkWorkerKeepsServing(t *testing.T) {
 	defer faultinject.Reset()
-	forceWalkParallelism(t)
 	g := resacc.GenerateBarabasiAlbert(200, 3, 7)
 	s := newServer(g, resacc.DefaultParams(g), serverOpts{
-		Log: discardLogger(),
-		// One compute at a time with real walk parallelism, so the panic
-		// fires on the detached worker goroutines the containment guards.
-		Engine: resacc.EngineOptions{Workers: 1, WalkWorkers: 4},
+		Log:    discardLogger(),
+		Engine: resacc.EngineOptions{Workers: 1},
 	})
 	defer s.Close()
-	if s.engine.WalkWorkers() < 2 {
-		t.Fatalf("walk workers = %d, want >= 2", s.engine.WalkWorkers())
-	}
 
 	faultinject.Set("algo.remedy.worker", func() { panic("chaos: worker killed") })
 	rec, body := get(t, s, "/v1/query?source=5&k=3")
@@ -64,7 +48,7 @@ func TestChaosPanicInWalkWorkerKeepsServing(t *testing.T) {
 		t.Fatalf("stats panics=%v, want 1", stats["engine"].(map[string]any)["panics"])
 	}
 
-	// Clear the fault: the server answers the next query — the worker pool,
+	// Clear the fault: the server answers the next query — the serve pool,
 	// singleflight group and workspace pool all survived the panic.
 	faultinject.Reset()
 	rec, body = get(t, s, "/v1/query?source=5&k=3")
@@ -76,21 +60,18 @@ func TestChaosPanicInWalkWorkerKeepsServing(t *testing.T) {
 	}
 }
 
-// TestChaosConcurrentPanicsDoNotCrash hammers the server while every walk
-// worker panics, under -race: the process must absorb all of them and stay
-// consistent (each request answers 500, one contained panic per compute).
+// TestChaosConcurrentPanicsDoNotCrash hammers the server while every
+// remedy walk loop panics, under -race: the process must absorb all of them
+// and stay consistent (each request answers 500, one contained panic per
+// compute).
 func TestChaosConcurrentPanicsDoNotCrash(t *testing.T) {
 	defer faultinject.Reset()
-	forceWalkParallelism(t)
 	g := resacc.GenerateBarabasiAlbert(200, 3, 7)
 	s := newServer(g, resacc.DefaultParams(g), serverOpts{
 		Log:    discardLogger(),
-		Engine: resacc.EngineOptions{Workers: 2, WalkWorkers: 2},
+		Engine: resacc.EngineOptions{Workers: 2},
 	})
 	defer s.Close()
-	if s.engine.WalkWorkers() < 2 {
-		t.Fatalf("walk workers = %d, want >= 2", s.engine.WalkWorkers())
-	}
 
 	faultinject.Set("algo.remedy.worker", func() { panic("chaos: storm") })
 	var wg sync.WaitGroup

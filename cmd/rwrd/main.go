@@ -66,7 +66,6 @@ func main() {
 		drainGrace = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 
 		workers    = flag.Int("workers", 0, "engine computation concurrency (0 = GOMAXPROCS)")
-		walkWkrs   = flag.Int("walk-workers", 0, "per-query remedy walk concurrency, clamped to GOMAXPROCS/workers (0 = that quotient)")
 		relabel    = flag.Bool("relabel", false, "renumber each served snapshot in decreasing-degree order for cache locality (node ids on the wire stay original)")
 		queueDepth = flag.Int("queue-depth", 0, "engine wait-queue depth before shedding (0 = 4x workers)")
 		cacheMB    = flag.Int64("cache-mb", 64, "result-cache capacity in MiB")
@@ -117,7 +116,6 @@ func main() {
 		Pprof:       *withPprof,
 		Engine: resacc.EngineOptions{
 			Workers:       *workers,
-			WalkWorkers:   *walkWkrs,
 			Relabel:       *relabel,
 			QueueDepth:    *queueDepth,
 			SojournTarget: *sojournTgt,

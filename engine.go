@@ -3,7 +3,6 @@ package resacc
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,14 +60,6 @@ type EngineOptions struct {
 	// pressure can drive brownout degradation alongside queue sojourn and
 	// the pending-edit watermark.
 	MemSoftLimit int64
-	// WalkWorkers parallelizes each query's remedy-phase random walks.
-	// It is clamped to GOMAXPROCS/Workers so that Workers concurrent
-	// queries never oversubscribe the machine (≤ 0 = exactly that
-	// quotient, i.e. "use whatever the serve pool leaves idle"; with the
-	// default worker count that is 1, the sequential remedy). Results are
-	// deterministic per (seed, effective walk workers), so changing this
-	// knob changes which deterministic estimate is produced.
-	WalkWorkers int
 	// Relabel renumbers each served graph snapshot in decreasing
 	// total-degree order at load/swap time (graph.RelabelByDegree), which
 	// improves push and walk cache locality on skewed graphs. The
@@ -132,12 +123,9 @@ type Engine struct {
 
 	// wsPool recycles per-query workspaces across the worker pool; it is
 	// invalidated together with the result cache on every graph swap so
-	// scratch sized for a retired snapshot is not pinned. walkWorkers is
-	// the resolved per-query remedy parallelism (see
-	// EngineOptions.WalkWorkers).
-	wsPool      *ws.Pool
-	walkWorkers int
-	relabel     bool
+	// scratch sized for a retired snapshot is not pinned.
+	wsPool  *ws.Pool
+	relabel bool
 }
 
 // engineEntry is one cached answer; exactly one field group is set
@@ -248,17 +236,6 @@ func NewEngine(g *Graph, p Params, opts EngineOptions) *Engine {
 		wsPool:  ws.NewPool(),
 		relabel: opts.Relabel,
 	}
-	serveWorkers := opts.Workers
-	if serveWorkers <= 0 {
-		serveWorkers = runtime.GOMAXPROCS(0)
-	}
-	// Clamp intra-query parallelism so serveWorkers concurrent queries use
-	// at most ~GOMAXPROCS goroutines between them.
-	budget := serve.PerQueryBudget(serveWorkers)
-	e.walkWorkers = opts.WalkWorkers
-	if e.walkWorkers <= 0 || e.walkWorkers > budget {
-		e.walkWorkers = budget
-	}
 	e.snap.Store(e.newSnapshot(g, 0, nil))
 	e.wsPool.Refit(g.N())
 	e.monitor = pressure.NewMonitor(pressure.MonitorConfig{})
@@ -320,16 +297,11 @@ func (e *Engine) pin() *live.Snapshot {
 	}
 }
 
-// solver is the ResAcc solver default computations run with: the engine's
-// workspace pool plus its resolved walk parallelism.
-func (e *Engine) solver() core.Solver {
-	return core.Solver{Workers: e.walkWorkers, Pool: e.wsPool}
-}
-
-// snapSolver is solver() plus the per-snapshot artifact: the score remap
-// back to caller ids.
+// snapSolver is the ResAcc solver default computations run with on snap:
+// the engine's workspace pool plus the per-snapshot score remap back to
+// caller ids.
 func (e *Engine) snapSolver(snap *live.Snapshot) core.Solver {
-	s := e.solver()
+	s := core.Solver{Pool: e.wsPool}
 	if m := metaOf(snap); m != nil {
 		s.ScoreRemap = m.toOld
 	}
@@ -346,9 +318,6 @@ func (e *Engine) Pressure() *pressure.Monitor { return e.monitor }
 // queue's observed drain rate and current depth (whole seconds, clamped to
 // [1s, 30s]) — what an HTTP server should put in Retry-After next to a 429.
 func (e *Engine) RetryAfter() time.Duration { return e.inner.RetryAfter() }
-
-// WalkWorkers returns the resolved per-query remedy walk parallelism.
-func (e *Engine) WalkWorkers() int { return e.walkWorkers }
 
 // Close stops the engine's worker pool after draining admitted work.
 // Queries after Close fail.

@@ -9,13 +9,6 @@ import (
 	"resacc/internal/graph"
 )
 
-// QueryParallel is Query with the remedy phase's random walks fanned out
-// over a worker pool (workers ≤ 1 is sequential). Results are deterministic
-// for a fixed (Seed, workers) pair; the accuracy guarantee is unchanged.
-func QueryParallel(g *Graph, source int32, p Params, workers int) (*Result, error) {
-	return querySolver(g, source, p, core.Solver{Workers: workers})
-}
-
 // QueryPair estimates the single value π(s,t) with the bidirectional BiPPR
 // estimator, which is far cheaper than a full single-source query when
 // only one pair matters.

@@ -6,25 +6,6 @@ import (
 	"testing"
 )
 
-func TestQueryParallelMatchesAccuracy(t *testing.T) {
-	g := GenerateRMAT(9, 5, 3)
-	p := DefaultParams(g)
-	res, err := QueryParallel(g, 1, p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, x := range res.Scores {
-		sum += x
-	}
-	if math.Abs(sum-1) > 0.05 {
-		t.Fatalf("Σπ̂=%v", sum)
-	}
-	if res.Stats.Walks <= 0 {
-		t.Fatal("no walks recorded")
-	}
-}
-
 func TestQueryPair(t *testing.T) {
 	g := GenerateErdosRenyi(150, 900, 5)
 	p := DefaultParams(g)

@@ -37,11 +37,11 @@ var queryHooks struct {
 	snapshot atomic.Value // []QueryHook, rebuilt on every (un)register
 }
 
-// RegisterQueryHook installs h to run after every Query and QueryParallel
-// call and after every QueryTopK round (QueryMulti* fan out through Query,
-// so each per-source query fires the hook once). A top-k query fires it
-// once per solver round, not once per call: one event when the first
-// round certifies, up to four when it does not. It returns a function
+// RegisterQueryHook installs h to run after every Query call and after
+// every QueryTopK round (QueryMulti* fan out through Query, so each
+// per-source query fires the hook once). A top-k query fires it once per
+// solver round, not once per call: one event when the first round
+// certifies, up to four when it does not. It returns a function
 // that removes the hook again; callers that come and go (servers, tests)
 // must call it to avoid observing queries they no longer care about.
 func RegisterQueryHook(h QueryHook) (remove func()) {

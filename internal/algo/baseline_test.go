@@ -28,7 +28,7 @@ func TestBaselinesConcurrentBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []algo.SingleSource{fora.Solver{}, fora.Solver{Workers: 2}, fora.PlusSolver{Index: ix}, topppr.Solver{K: 20}} {
+		for _, s := range []algo.SingleSource{fora.Solver{}, fora.PlusSolver{Index: ix}, topppr.Solver{K: 20}} {
 			for src := int32(0); src < 3; src++ {
 				qs = append(qs, query{g, s, src})
 			}

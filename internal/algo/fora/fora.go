@@ -37,9 +37,6 @@ func BalancedRMax(g *graph.Graph, p algo.Params) float64 {
 type Solver struct {
 	// RMax overrides the balanced forward threshold when non-zero.
 	RMax float64
-	// Workers parallelizes the remedy walks (0 or 1 = sequential), with
-	// the same deterministic fan-out as ResAcc's remedy.
-	Workers int
 }
 
 // Name implements algo.SingleSource.
@@ -59,7 +56,7 @@ func (s Solver) SingleSource(g *graph.Graph, src int32, p algo.Params) ([]float6
 	}
 	w := pool.Get(g.N())
 	forward.RunWS(g, p.Alpha, rmax, w, src)
-	algo.Remedy(g, p, w, p.Seed, s.Workers, nil)
+	algo.Remedy(g, p, w, nil)
 	pi := w.ExtractScores()
 	pool.Put(w)
 	return pi, nil

@@ -123,7 +123,11 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 		reserve[v] += alpha * rv
 		share := (1 - alpha) * rv / float64(d)
 		for _, w := range g.Out(v) {
-			track.Mark(w)
+			// A non-zero slot is marked already: every write that makes a
+			// slot non-zero marks it, and MarkAll precedes every sweep.
+			if residue[w] == 0 {
+				track.Mark(w)
+			}
 			residue[w] += share
 			if qm.Has(w) {
 				continue

@@ -14,30 +14,21 @@ import (
 )
 
 // TestBaselineGoldenHashes pins the exact output of the baselines that
-// finish with the remedy phase — FORA (sequential, strided over 2 and 3
-// walk workers, and under a MaxWalks cap), FORA+ and TopPPR in two
-// configurations — as an FNV-64a hash over the Float64bits of every score,
-// per (dataset, algorithm, source). Any change to push order, float
-// summation order, walk planning or rng consumption moves a hash. The
-// values are amd64's: other architectures may fuse multiply-adds and round
-// differently.
+// finish with the remedy phase — FORA (uncapped and under a MaxWalks cap),
+// FORA+ and TopPPR in two configurations — as an FNV-64a hash over the
+// Float64bits of every score, per (dataset, algorithm, source). Any change
+// to push order, float summation order, walk planning or rng consumption
+// moves a hash. The values are amd64's: other architectures may fuse
+// multiply-adds and round differently.
 func TestBaselineGoldenHashes(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden hashes are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	want := map[string]string{
-		"webstan-s/fora/workers=1/src=0":      "7979faf58e28ef9b",
-		"webstan-s/fora/workers=1/src=7":      "8f5a58e1fdc8f98f",
-		"webstan-s/fora/workers=1/src=123":    "a8fafed0d7465e87",
-		"webstan-s/fora/workers=1/src=401":    "6f13e096b5686459",
-		"webstan-s/fora/workers=2/src=0":      "18d307c3f635898b",
-		"webstan-s/fora/workers=2/src=7":      "8321c997eccd924a",
-		"webstan-s/fora/workers=2/src=123":    "749710ce20515a05",
-		"webstan-s/fora/workers=2/src=401":    "ae405136ecb4757a",
-		"webstan-s/fora/workers=3/src=0":      "600a7f04c35e97c8",
-		"webstan-s/fora/workers=3/src=7":      "09a75a1a5b1eb724",
-		"webstan-s/fora/workers=3/src=123":    "33b521fbcaa071c6",
-		"webstan-s/fora/workers=3/src=401":    "6033c570e5f8a4d2",
+		"webstan-s/fora/src=0":                "7979faf58e28ef9b",
+		"webstan-s/fora/src=7":                "8f5a58e1fdc8f98f",
+		"webstan-s/fora/src=123":              "a8fafed0d7465e87",
+		"webstan-s/fora/src=401":              "6f13e096b5686459",
 		"webstan-s/fora/maxwalks=100/src=0":   "0c78cb23d6e9abeb",
 		"webstan-s/fora/maxwalks=100/src=7":   "5783750f1947676e",
 		"webstan-s/fora/maxwalks=100/src=123": "55e64dc48111fa24",
@@ -54,18 +45,10 @@ func TestBaselineGoldenHashes(t *testing.T) {
 		"webstan-s/topppr/k=20/src=7":         "739e12e4277f2ba5",
 		"webstan-s/topppr/k=20/src=123":       "4e16ea6de5037222",
 		"webstan-s/topppr/k=20/src=401":       "3791b8026f414526",
-		"dblp-s/fora/workers=1/src=0":         "ae9eabe5a3375477",
-		"dblp-s/fora/workers=1/src=7":         "fd18b8ca60d9acb4",
-		"dblp-s/fora/workers=1/src=123":       "d679d0b8512e50c6",
-		"dblp-s/fora/workers=1/src=401":       "2487e71fce1b4bb0",
-		"dblp-s/fora/workers=2/src=0":         "2bee6f9b2eb7f709",
-		"dblp-s/fora/workers=2/src=7":         "d31c20548d75642e",
-		"dblp-s/fora/workers=2/src=123":       "3f3463772079a1c2",
-		"dblp-s/fora/workers=2/src=401":       "483e8db064354d6c",
-		"dblp-s/fora/workers=3/src=0":         "5ed9f95805f57849",
-		"dblp-s/fora/workers=3/src=7":         "101df21c1634804d",
-		"dblp-s/fora/workers=3/src=123":       "b74090919e16b6b1",
-		"dblp-s/fora/workers=3/src=401":       "91fb9f94b0f53968",
+		"dblp-s/fora/src=0":                   "ae9eabe5a3375477",
+		"dblp-s/fora/src=7":                   "fd18b8ca60d9acb4",
+		"dblp-s/fora/src=123":                 "d679d0b8512e50c6",
+		"dblp-s/fora/src=401":                 "2487e71fce1b4bb0",
 		"dblp-s/fora/maxwalks=100/src=0":      "d1c8c6390ef815f3",
 		"dblp-s/fora/maxwalks=100/src=7":      "1664ced95b4bb8a0",
 		"dblp-s/fora/maxwalks=100/src=123":    "817ce60771b22451",
@@ -97,9 +80,7 @@ func TestBaselineGoldenHashes(t *testing.T) {
 			s    algo.SingleSource
 			p    algo.Params
 		}{
-			{"fora/workers=1", fora.Solver{}, p},
-			{"fora/workers=2", fora.Solver{Workers: 2}, p},
-			{"fora/workers=3", fora.Solver{Workers: 3}, p},
+			{"fora", fora.Solver{}, p},
 			{"fora/maxwalks=100", fora.Solver{}, capped},
 			{"fora+", fora.PlusSolver{Index: ix}, p},
 			{"topppr", topppr.Solver{}, p},

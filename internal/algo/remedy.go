@@ -3,12 +3,9 @@ package algo
 import (
 	"math"
 	"slices"
-	"sync"
 
-	"resacc/internal/crash"
 	"resacc/internal/faultinject"
 	"resacc/internal/graph"
-	"resacc/internal/rng"
 	"resacc/internal/ws"
 )
 
@@ -92,35 +89,20 @@ func PlanRemedy(p Params, w *ws.Workspace) RemedyStats {
 // Remedy runs the remedy phase on w — PlanRemedy, then one random walk per
 // planned walk — and adds the estimate Σ_v r(v)·π(v,t) into w.Reserve.
 // FORA, TopPPR and ResAcc all finish with it; it never writes residues.
-//
-// workers ≤ 1 walks the plan in order from w.Rng reseeded to seed. With
-// more, job i goes to worker i mod workers (clamped to the job count),
-// each worker walks from its own stream split from the seed into a pooled
-// accumulator, and the accumulators merge in worker order, so the result
-// is deterministic per (seed, workers).
+// The plan is walked in order on the calling goroutine from w.Rng reseeded
+// to p.Seed, so the result is deterministic per seed.
 //
 // When done (a query context's Done channel, nil = never) fires, walking
 // stops at the next amortized check; the stats then carry Aborted and the
-// un-walked residue mass in Remaining. A panic on a walk worker (a corrupt
-// graph, an injected chaos fault) is recovered there — one escaping a
-// detached goroutine would kill the process — and re-raised on the caller
-// as a *crash.PanicError carrying the worker's stack.
-func Remedy(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers int, done <-chan struct{}) RemedyStats {
+// un-walked residue mass in Remaining.
+func Remedy(g *graph.Graph, p Params, w *ws.Workspace, done <-chan struct{}) RemedyStats {
 	st := PlanRemedy(p, w)
 	if len(w.JobNodes) == 0 {
 		return st
 	}
-	w.Rng.Reseed(seed)
-	var short walkShort
-	if workers <= 1 {
-		short = walkJobs(g, p.Alpha, w, 0, 1, &w.Rng, w.Reserve, &w.Dirty, done)
-	} else {
-		// Idle workers would each borrow, merge and return an empty
-		// accumulator; the clamp is part of the stream split, so results
-		// stay deterministic per (seed, requested workers).
-		short = walkStrided(g, p.Alpha, w, min(workers, len(w.JobNodes)), done)
-	}
-	if short.walks > 0 {
+	w.Rng.Reseed(p.Seed)
+	faultinject.Hit("algo.remedy.worker")
+	if short := walkJobs(g, p.Alpha, w, done); short.walks > 0 {
 		st.Aborted = true
 		st.Walks -= short.walks
 		// Planned-but-unwalked mass plus whatever the budget cap never
@@ -135,29 +117,29 @@ func Remedy(g *graph.Graph, p Params, w *ws.Workspace, seed uint64, workers int,
 	return st
 }
 
-// walkShort is the part of a plan a walker never ran: its walk count and
-// its residue mass.
+// walkShort is the part of a plan the walk loop never ran: its walk count
+// and its residue mass.
 type walkShort struct {
 	mass  float64
 	walks int64
 }
 
-// walkJobs runs the planned jobs first, first+stride, … with walks from r,
-// crediting each terminal into val and recording it in marks, which must
-// already hold every non-zero slot of val. If done fires it stops and
-// reports every walk of its stride it never ran.
-func walkJobs(g *graph.Graph, alpha float64, w *ws.Workspace, first, stride int, r *rng.Source, val []float64, marks *ws.Marks, done <-chan struct{}) walkShort {
+// walkJobs runs the planned jobs in order with walks from w.Rng, crediting
+// each terminal into w.Reserve and recording it in w.Dirty. If done fires
+// it stops and reports every walk it never ran.
+func walkJobs(g *graph.Graph, alpha float64, w *ws.Workspace, done <-chan struct{}) walkShort {
 	nodes, counts, residue := w.JobNodes, w.JobCounts, w.Residue
+	val, marks, r := w.Reserve, &w.Dirty, &w.Rng
 	var walked int64
-	for i := first; i < len(nodes); i += stride {
-		v, n := nodes[i], counts[i]
+	for i, v := range nodes {
+		n := counts[i]
 		inc := residue[v] / float64(n)
 		for k := int64(0); k < n; k++ {
 			if done != nil && walked&walkCheckMask == 0 {
 				select {
 				case <-done:
 					short := walkShort{float64(n-k) * inc, n - k}
-					for j := i + stride; j < len(nodes); j += stride {
+					for j := i + 1; j < len(nodes); j++ {
 						short.mass += float64(counts[j]) * (residue[nodes[j]] / float64(counts[j]))
 						short.walks += counts[j]
 					}
@@ -176,57 +158,4 @@ func walkJobs(g *graph.Graph, alpha float64, w *ws.Workspace, first, stride int,
 		}
 	}
 	return walkShort{}
-}
-
-// walkStrided is Remedy's worker fan-out: one goroutine per stride, each
-// with its own stream and pooled accumulator, merged over touched entries
-// only — O(walk endpoints), not O(workers·n). Each worker holds at most
-// one partial per node, so per-slot addition order is fixed by worker
-// order.
-func walkStrided(g *graph.Graph, alpha float64, w *ws.Workspace, workers int, done <-chan struct{}) walkShort {
-	streams := w.GrowStreams(workers)
-	for i := range streams {
-		w.Rng.SplitInto(&streams[i])
-	}
-	type result struct {
-		a     *ws.Accum
-		short walkShort
-	}
-	results := make([]result, workers)
-	var workerPanic *crash.PanicError
-	var panicOnce sync.Once
-	var wg sync.WaitGroup
-	for wk := range results {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					pe := crash.Capture("algo: remedy walk worker", v)
-					panicOnce.Do(func() { workerPanic = pe })
-				}
-			}()
-			faultinject.Hit("algo.remedy.worker")
-			a := ws.GetAccum(g.N())
-			results[wk].short = walkJobs(g, alpha, w, wk, workers, &streams[wk], a.Val, &a.Marks, done)
-			results[wk].a = a
-		}(wk)
-	}
-	wg.Wait()
-	if workerPanic != nil {
-		// The panicking worker's accumulator is lost mid-update and the
-		// survivors' are moot: discard them all (the pool refills) and
-		// re-raise for the query-level barrier to convert into an error.
-		panic(workerPanic)
-	}
-	var short walkShort
-	for _, res := range results {
-		for _, t := range res.a.Marks.Touched() {
-			w.AddReserve(t, res.a.Val[t])
-		}
-		ws.PutAccum(res.a)
-		short.mass += res.short.mass
-		short.walks += res.short.walks
-	}
-	return short
 }

@@ -15,8 +15,8 @@ import (
 // referenceRemedy is the remedy phase written straight from Algorithm 2
 // lines 5-17 over dense vectors: an ascending scan for r_sum, then
 // ⌈r(v)·n_r/r_sum⌉ walks from each node with positive residue, each
-// crediting r(v)/n_r(v) to its terminal, under the MaxWalks cap. Remedy at
-// workers 1 must reproduce it bit for bit.
+// crediting r(v)/n_r(v) to its terminal, under the MaxWalks cap. Remedy
+// must reproduce it bit for bit.
 func referenceRemedy(g *graph.Graph, p Params, pi, residue []float64, r *rng.Source) RemedyStats {
 	var st RemedyStats
 	for _, rv := range residue {
@@ -88,18 +88,18 @@ func withResidue(g *graph.Graph, residue map[int32]float64) *ws.Workspace {
 	return w
 }
 
-// TestRemedyMatchesReference: at workers 1, Remedy is bit-identical to the
-// dense reference for the same seed — same candidates, same walk order,
-// same float summation order — with and without a binding MaxWalks cap.
+// TestRemedyMatchesReference: Remedy is bit-identical to the dense
+// reference for the same seed — same candidates, same walk order, same
+// float summation order — with and without a binding MaxWalks cap.
 func TestRemedyMatchesReference(t *testing.T) {
 	for _, g := range []*graph.Graph{gen.RMAT(9, 5, 17), gen.BarabasiAlbert(400, 3, 23), gen.Grid(15, 15)} {
 		for _, maxWalks := range []int{0, 50} {
 			w, pi, residue := remedyFixture(t, g.N())
 			p := DefaultParams(g)
 			p.MaxWalks = maxWalks
-			const seed = 31
-			want := referenceRemedy(g, p, pi, residue, rng.New(seed))
-			got := Remedy(g, p, w, seed, 1, nil)
+			p.Seed = 31
+			want := referenceRemedy(g, p, pi, residue, rng.New(p.Seed))
+			got := Remedy(g, p, w, nil)
 			if want != got {
 				t.Fatalf("n=%d maxWalks=%d: stats %+v, reference %+v", g.N(), maxWalks, got, want)
 			}
@@ -123,9 +123,9 @@ func TestRemedyUnbiased(t *testing.T) {
 	pi00 := p.Alpha / (1 - (1-p.Alpha)*(1-p.Alpha))
 	const trials = 300
 	acc := 0.0
-	for seed := uint64(0); seed < trials; seed++ {
+	for p.Seed = 0; p.Seed < trials; p.Seed++ {
 		w := withResidue(g, map[int32]float64{0: 0.5})
-		Remedy(g, p, w, seed, 1, nil)
+		Remedy(g, p, w, nil)
 		acc += w.Reserve[0]
 	}
 	if got, want := acc/trials, 0.5*pi00; math.Abs(got-want) > 0.01 {
@@ -133,29 +133,10 @@ func TestRemedyUnbiased(t *testing.T) {
 	}
 }
 
-// TestRemedyParallelUnbiased: the same unbiasedness check at 3 workers,
-// where the walks come from a stream split from the seed and merge through
-// a pooled accumulator.
-func TestRemedyParallelUnbiased(t *testing.T) {
-	g := gen.Grid(1, 2) // 0<->1 two-node path is undirected: 2-cycle
-	p := DefaultParams(g)
-	pi00 := p.Alpha / (1 - (1-p.Alpha)*(1-p.Alpha))
-	const trials = 300
-	acc := 0.0
-	for seed := uint64(0); seed < trials; seed++ {
-		w := withResidue(g, map[int32]float64{0: 0.5})
-		Remedy(g, p, w, seed, 3, nil)
-		acc += w.Reserve[0]
-	}
-	if got, want := acc/trials, 0.5*pi00; math.Abs(got-want) > 0.012 {
-		t.Fatalf("mean parallel estimate %v, want %v", got, want)
-	}
-}
-
 func TestRemedyStatsAndBudget(t *testing.T) {
 	g := cycle(50)
 	p := DefaultParams(g)
-	st := Remedy(g, p, withResidue(g, map[int32]float64{0: 0.3, 10: 0.2}), 1, 1, nil)
+	st := Remedy(g, p, withResidue(g, map[int32]float64{0: 0.3, 10: 0.2}), nil)
 	if math.Abs(st.RSum-0.5) > 1e-12 {
 		t.Fatalf("RSum=%v", st.RSum)
 	}
@@ -164,95 +145,87 @@ func TestRemedyStatsAndBudget(t *testing.T) {
 	}
 	// Budgeted run walks fewer.
 	p.MaxWalks = 10
-	if st := Remedy(g, p, withResidue(g, map[int32]float64{0: 0.3, 10: 0.2}), 1, 1, nil); st.Walks > 10 {
+	if st := Remedy(g, p, withResidue(g, map[int32]float64{0: 0.3, 10: 0.2}), nil); st.Walks > 10 {
 		t.Fatalf("budget exceeded: %d", st.Walks)
 	}
 }
 
-// TestRemedyParallelWalkBudget: the MaxWalks cap binds on the strided path,
-// where the plan's walks are split over 4 workers.
+// TestRemedyParallelWalkBudget: the MaxWalks cap binds on a grid with
+// three residue nodes whose plan would otherwise need more walks than the
+// cap. (The name dates from the walk fan-out this case was written for.)
 func TestRemedyParallelWalkBudget(t *testing.T) {
 	g := gen.Grid(6, 6)
 	p := DefaultParams(g)
 	p.MaxWalks = 12
-	if st := Remedy(g, p, withResidue(g, map[int32]float64{0: 0.3, 10: 0.3, 20: 0.3}), 1, 4, nil); st.Walks > 12 {
+	if st := Remedy(g, p, withResidue(g, map[int32]float64{0: 0.3, 10: 0.3, 20: 0.3}), nil); st.Walks > 12 {
 		t.Fatalf("budget exceeded: %d walks", st.Walks)
 	}
 }
 
 // TestRemedyWSBudget: on a workspace with a spread of residues and a dirty
-// reserve, the MaxWalks cap binds at every worker count and still leaves
-// walks to run.
+// reserve, the MaxWalks cap binds and still leaves walks to run.
 func TestRemedyWSBudget(t *testing.T) {
 	g := gen.Grid(15, 15)
-	for _, workers := range []int{1, 3, 4} {
-		w, _, _ := remedyFixture(t, g.N())
-		p := DefaultParams(g)
-		p.MaxWalks = 50
-		if st := Remedy(g, p, w, 1, workers, nil); st.Walks > 50 || st.Walks <= 0 {
-			t.Fatalf("workers=%d: %d walks under MaxWalks=50", workers, st.Walks)
-		}
+	w, _, _ := remedyFixture(t, g.N())
+	p := DefaultParams(g)
+	p.MaxWalks = 50
+	if st := Remedy(g, p, w, nil); st.Walks > 50 || st.Walks <= 0 {
+		t.Fatalf("%d walks under MaxWalks=50", st.Walks)
 	}
 }
 
 // assertNoRemedy runs Remedy on a workspace that holds no residue and fails
 // if it planned or walked anything.
-func assertNoRemedy(t *testing.T, g *graph.Graph, w *ws.Workspace, workers int) {
+func assertNoRemedy(t *testing.T, g *graph.Graph, w *ws.Workspace) {
 	t.Helper()
-	st := Remedy(g, DefaultParams(g), w, 1, workers, nil)
+	st := Remedy(g, DefaultParams(g), w, nil)
 	if st.Walks != 0 || st.RSum != 0 || len(w.JobNodes) != 0 {
-		t.Fatalf("workers=%d: zero-residue remedy did work: %+v", workers, st)
+		t.Fatalf("zero-residue remedy did work: %+v", st)
 	}
 }
 
 // TestRemedyZeroResidue: nothing to do, nothing done.
 func TestRemedyZeroResidue(t *testing.T) {
 	g := cycle(5)
-	assertNoRemedy(t, g, ws.New(g.N()), 1)
+	assertNoRemedy(t, g, ws.New(g.N()))
 }
 
-// TestRemedyParallelZeroResidue: the same on the strided path.
+// TestRemedyParallelZeroResidue: the same on a 4×4 grid. (The name dates
+// from the walk fan-out this case was written for.)
 func TestRemedyParallelZeroResidue(t *testing.T) {
 	g := gen.Grid(4, 4)
-	assertNoRemedy(t, g, ws.New(g.N()), 4)
+	assertNoRemedy(t, g, ws.New(g.N()))
 }
 
 // TestRemedyWSZeroResidue: a dirty reserve with zero residue everywhere is
-// still nothing to do, at one worker and at four.
+// still nothing to do.
 func TestRemedyWSZeroResidue(t *testing.T) {
 	g := gen.Grid(5, 5)
-	for _, workers := range []int{1, 4} {
-		w := ws.New(g.N())
-		w.AddReserve(3, 1)
-		assertNoRemedy(t, g, w, workers)
-	}
+	w := ws.New(g.N())
+	w.AddReserve(3, 1)
+	assertNoRemedy(t, g, w)
 }
 
 // TestRemedyMassConservation: the mass the walks deposit equals r_sum
-// (each walk deposits r(v)/n_r(v), and n_r(v) walks run per v), at every
-// worker count.
+// (each walk deposits r(v)/n_r(v), and n_r(v) walks run per v).
 func TestRemedyMassConservation(t *testing.T) {
 	check := func(seed uint64) bool {
 		g := cycle(20)
 		p := DefaultParams(g)
+		p.Seed = seed
 		r := rng.New(seed)
 		residue := map[int32]float64{}
 		for i := 0; i < 5; i++ {
 			residue[int32(r.Intn(g.N()))] = r.Float64() * 0.1
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			w := withResidue(g, residue)
-			total := w.SumResidue()
-			Remedy(g, p, w, seed, workers, nil)
-			added := 0.0
-			for _, x := range w.Reserve {
-				added += x
-			}
-			if math.Abs(added-total) > 1e-9 {
-				return false
-			}
+		w := withResidue(g, residue)
+		total := w.SumResidue()
+		Remedy(g, p, w, nil)
+		added := 0.0
+		for _, x := range w.Reserve {
+			added += x
 		}
-		return true
+		return math.Abs(added-total) <= 1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -260,59 +233,42 @@ func TestRemedyMassConservation(t *testing.T) {
 }
 
 // TestRemedyParallelMassConservation: the same conservation on a fixed
-// random graph with residue at three nodes, and walks must run.
+// random graph with residue at three nodes, and walks must run. (The name
+// dates from the walk fan-out this case was written for.)
 func TestRemedyParallelMassConservation(t *testing.T) {
 	g := gen.ErdosRenyi(200, 1200, 3)
 	p := DefaultParams(g)
-	for _, workers := range []int{1, 2, 4, 7} {
-		w := withResidue(g, map[int32]float64{3: 0.2, 77: 0.1, 150: 0.05})
-		st := Remedy(g, p, w, 9, workers, nil)
-		added := 0.0
-		for _, x := range w.Reserve {
-			added += x
-		}
-		if math.Abs(added-0.35) > 1e-9 {
-			t.Fatalf("workers=%d: mass %v, want 0.35", workers, added)
-		}
-		if st.Walks <= 0 {
-			t.Fatalf("workers=%d: no walks", workers)
-		}
+	p.Seed = 9
+	w := withResidue(g, map[int32]float64{3: 0.2, 77: 0.1, 150: 0.05})
+	st := Remedy(g, p, w, nil)
+	added := 0.0
+	for _, x := range w.Reserve {
+		added += x
+	}
+	if math.Abs(added-0.35) > 1e-9 {
+		t.Fatalf("mass %v, want 0.35", added)
+	}
+	if st.Walks <= 0 {
+		t.Fatal("no walks")
 	}
 }
 
+// TestRemedyDeterministicPerWorkerCount: the same seed reproduces the
+// estimate exactly. (The seed alone fixes it now; the name dates from the
+// walk fan-out, whose estimate also depended on the worker count.)
 func TestRemedyDeterministicPerWorkerCount(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 3, 5)
-	run := func(workers int) []float64 {
+	p := DefaultParams(g)
+	p.Seed = 42
+	run := func() []float64 {
 		w := withResidue(g, map[int32]float64{0: 0.3, 50: 0.1})
-		Remedy(g, DefaultParams(g), w, 42, workers, nil)
+		Remedy(g, p, w, nil)
 		return w.Reserve
 	}
-	a, b := run(4), run(4)
+	a, b := run(), run()
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatal("same (seed, workers) must reproduce exactly")
-		}
-	}
-}
-
-// TestRemedyWorkerClamp: more workers than planned jobs must not change
-// the answer — idle workers are clamped away before the stream split, so a
-// single job walks the same stream at 2 workers as at 8.
-func TestRemedyWorkerClamp(t *testing.T) {
-	g := gen.ErdosRenyi(120, 700, 13)
-	p := DefaultParams(g)
-	run := func(workers int) (*ws.Workspace, RemedyStats) {
-		w := withResidue(g, map[int32]float64{7: 0.2})
-		return w, Remedy(g, p, w, 77, workers, nil)
-	}
-	w8, st8 := run(8)
-	w2, st2 := run(2)
-	if st8 != st2 {
-		t.Fatalf("stats diverge: 8 workers %+v vs 2 workers %+v", st8, st2)
-	}
-	for v := range w8.Reserve {
-		if math.Float64bits(w8.Reserve[v]) != math.Float64bits(w2.Reserve[v]) {
-			t.Fatalf("reserve[%d]: 8 workers %v vs 2 workers %v", v, w8.Reserve[v], w2.Reserve[v])
+			t.Fatal("the same seed must reproduce exactly")
 		}
 	}
 }
@@ -325,60 +281,59 @@ func TestRemedyPreCancelled(t *testing.T) {
 	g := gen.RMAT(9, 5, 17)
 	done := make(chan struct{})
 	close(done)
-	for _, workers := range []int{1, 4} {
-		w, pi, _ := remedyFixture(t, g.N())
-		st := Remedy(g, DefaultParams(g), w, 31, workers, done)
-		if !st.Aborted {
-			t.Fatalf("workers=%d: pre-closed done not seen", workers)
-		}
-		if st.Walks != 0 {
-			t.Fatalf("workers=%d: %d walks ran after cancellation", workers, st.Walks)
-		}
-		if math.Abs(st.Remaining-st.RSum) > 1e-12 {
-			t.Fatalf("workers=%d: Remaining=%g, want full RSum=%g", workers, st.Remaining, st.RSum)
-		}
-		for v := range pi {
-			if w.Reserve[v] != pi[v] {
-				t.Fatalf("workers=%d: reserve[%d] moved without walks", workers, v)
-			}
+	w, pi, _ := remedyFixture(t, g.N())
+	p := DefaultParams(g)
+	p.Seed = 31
+	st := Remedy(g, p, w, done)
+	if !st.Aborted {
+		t.Fatal("pre-closed done not seen")
+	}
+	if st.Walks != 0 {
+		t.Fatalf("%d walks ran after cancellation", st.Walks)
+	}
+	if math.Abs(st.Remaining-st.RSum) > 1e-12 {
+		t.Fatalf("Remaining=%g, want full RSum=%g", st.Remaining, st.RSum)
+	}
+	for v := range pi {
+		if w.Reserve[v] != pi[v] {
+			t.Fatalf("reserve[%d] moved without walks", v)
 		}
 	}
 }
 
 // TestRemedyCancelMassConservation: whenever the walk phase stops —
-// mid-node, mid-stride, or not at all — the reserve mass the walks
+// mid-node, between nodes, or not at all — the reserve mass the walks
 // deposited must equal the converted residue RSum−Remaining (the FORA
 // invariant's walk-side accounting, the quantity the degraded bound is
 // built from).
 func TestRemedyCancelMassConservation(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 6, 23)
-	for _, workers := range []int{1, 4} {
-		for _, delay := range []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond, time.Hour} {
-			w, pi, _ := remedyFixture(t, g.N())
-			done := make(chan struct{})
-			if delay == 0 {
-				close(done)
-			} else if delay < time.Hour {
-				go func() { time.Sleep(delay); close(done) }()
-			}
-			st := Remedy(g, DefaultParams(g), w, 7, workers, done)
+	p := DefaultParams(g)
+	p.Seed = 7
+	for _, delay := range []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond, time.Hour} {
+		w, pi, _ := remedyFixture(t, g.N())
+		done := make(chan struct{})
+		if delay == 0 {
+			close(done)
+		} else if delay < time.Hour {
+			go func() { time.Sleep(delay); close(done) }()
+		}
+		st := Remedy(g, p, w, done)
 
-			var gained float64
-			for v := range pi {
-				gained += w.Reserve[v] - pi[v]
-			}
-			converted := st.RSum - st.Remaining
-			if math.Abs(gained-converted) > 1e-9*math.Max(1, st.RSum) {
-				t.Fatalf("workers=%d delay=%v: walks deposited %g but accounting says %g (aborted=%v walks=%d)",
-					workers, delay, gained, converted, st.Aborted, st.Walks)
-			}
-			if st.Remaining < 0 || st.Remaining > st.RSum+1e-12 {
-				t.Fatalf("workers=%d delay=%v: Remaining=%g outside [0, RSum=%g]",
-					workers, delay, st.Remaining, st.RSum)
-			}
-			if !st.Aborted && st.Remaining != 0 {
-				t.Fatalf("workers=%d delay=%v: un-aborted run left Remaining=%g", workers, delay, st.Remaining)
-			}
+		var gained float64
+		for v := range pi {
+			gained += w.Reserve[v] - pi[v]
+		}
+		converted := st.RSum - st.Remaining
+		if math.Abs(gained-converted) > 1e-9*math.Max(1, st.RSum) {
+			t.Fatalf("delay=%v: walks deposited %g but accounting says %g (aborted=%v walks=%d)",
+				delay, gained, converted, st.Aborted, st.Walks)
+		}
+		if st.Remaining < 0 || st.Remaining > st.RSum+1e-12 {
+			t.Fatalf("delay=%v: Remaining=%g outside [0, RSum=%g]", delay, st.Remaining, st.RSum)
+		}
+		if !st.Aborted && st.Remaining != 0 {
+			t.Fatalf("delay=%v: un-aborted run left Remaining=%g", delay, st.Remaining)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func (s Solver) SingleSource(g *graph.Graph, src int32, p algo.Params) ([]float6
 	// backward phase will spend the other half on the frontier).
 	half := p
 	half.NScale = 0.5 * p.EffectiveNScale()
-	remStats := algo.Remedy(g, half, w, p.Seed, 1, nil)
+	remStats := algo.Remedy(g, half, w, nil)
 	rough := w.ExtractScores()
 
 	// Phase 3: candidate frontier around the K-th largest rough estimate.

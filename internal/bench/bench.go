@@ -95,7 +95,6 @@ var experiments = []Experiment{
 	{"F23", "Fig 23 (App I): index update cost per node deletion", runFig23},
 	{"T7", "Table VII (App J): per-phase breakdown of ResAcc", runTable7},
 	{"F24", "Fig 24 (App K): ablation of each ResAcc trick", runFig24},
-	{"X1", "Extension: parallel remedy phase speedup", runX1Parallel},
 	{"X2", "Extension: certified top-k query vs full query", runX2TopK},
 	{"X3", "Extension: HubPPR pairwise cache vs BiPPR", runX3HubPPR},
 	{"X4", "Extension: forward-push scheduling (FIFO vs max-residue-first)", runX4Scheduling},

@@ -24,8 +24,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestExperimentsListStable(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 23 {
-		t.Fatalf("have %d experiments, want 23 (one per table/figure plus 5 extensions)", len(exps))
+	if len(exps) != 22 {
+		t.Fatalf("have %d experiments, want 22 (one per table/figure plus 4 extensions)", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -38,7 +38,7 @@ func TestExperimentsListStable(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"T3", "T4", "T5", "T6", "T7", "F4", "F5", "F6", "F7",
-		"F11", "F12", "F14", "F16", "F18", "F21", "F22", "F23", "F24", "X1", "X2", "X3", "X4", "X5"} {
+		"F11", "F12", "F14", "F16", "F18", "F21", "F22", "F23", "F24", "X2", "X3", "X4", "X5"} {
 		if !seen[id] {
 			t.Errorf("missing experiment %s", id)
 		}
@@ -57,7 +57,7 @@ func TestEveryExperimentRunsAtMicroScale(t *testing.T) {
 			// The accuracy/distribution sweeps iterate many solvers; keep
 			// them on the two cheapest datasets at micro scale.
 			switch e.ID {
-			case "F4", "F5", "F6", "F7", "F12", "F14", "F16", "F18", "X1", "X2", "X3", "X4", "X5":
+			case "F4", "F5", "F6", "F7", "F12", "F14", "F16", "F18", "X2", "X3", "X4", "X5":
 				cfg.Datasets = []string{"webstan-s"}
 			case "T3", "T4", "T7", "F24", "F21", "F22", "F23":
 				cfg.Datasets = []string{"webstan-s", "pokec-s"}

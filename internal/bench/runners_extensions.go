@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"resacc/internal/algo/bippr"
@@ -16,35 +15,9 @@ import (
 )
 
 // The X-series experiments are extensions beyond the paper, exercising the
-// library features that have no counterpart figure: the parallel remedy
-// phase, the certified top-k query, and the HubPPR pairwise cache.
-
-func runX1Parallel(cfg Config) error {
-	names := cfg.Datasets
-	if names == nil {
-		names = []string{"twitter-s"}
-	}
-	t := newTableCfg(cfg, "dataset", "workers", "query time", "speedup")
-	for _, name := range names {
-		g, p, sources, err := graphOf(name, cfg)
-		if err != nil {
-			return err
-		}
-		var base time.Duration
-		for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-			d, err := timeSolver(g, core.Solver{Workers: workers}, sources, p)
-			if err != nil {
-				return err
-			}
-			if workers == 1 {
-				base = d
-			}
-			t.row(name, workers, d, float64(base)/float64(d))
-		}
-	}
-	t.flush()
-	return nil
-}
+// library features that have no counterpart figure: the certified top-k
+// query, the HubPPR pairwise cache, push scheduling and the
+// degree-relabeled memory layout.
 
 func runX2TopK(cfg Config) error {
 	names := cfg.Datasets

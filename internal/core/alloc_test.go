@@ -55,34 +55,32 @@ func TestQueryWSAllocsAcrossVariants(t *testing.T) {
 }
 
 // TestPooledMatchesUnpooledBitIdentical is the golden comparison the refactor
-// must satisfy: for a fixed (seed, workers), a query on a freshly allocated
-// workspace, a query through a recycling pool (first use), and a query on a
-// recycled workspace must return bit-identical scores — pooling is purely an
+// must satisfy: for a fixed seed, a query on a freshly allocated workspace,
+// a query through a recycling pool (first use), and a query on a recycled
+// workspace must return bit-identical scores — pooling is purely an
 // allocation strategy, never an answer change.
 func TestPooledMatchesUnpooledBitIdentical(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 4, 3)
 	p := algo.DefaultParams(g)
 	p.Seed = 7
 	for _, variant := range []Variant{Full, NoLoop, NoSubgraph, NoOMFWD} {
-		for _, workers := range []int{1, 3} {
-			// Unpooled reference: fresh workspace, never recycled.
-			ref := Solver{Variant: variant, Workers: workers}
-			w := ws.New(g.N())
-			ref.QueryWS(g, 2, p, w)
-			want := w.ExtractScores()
+		// Unpooled reference: fresh workspace, never recycled.
+		ref := Solver{Variant: variant}
+		w := ws.New(g.N())
+		ref.QueryWS(g, 2, p, w)
+		want := w.ExtractScores()
 
-			pool := ws.NewPool()
-			s := Solver{Variant: variant, Workers: workers, Pool: pool}
-			for round := 0; round < 3; round++ {
-				got, _, err := s.Query(g, 2, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range want {
-					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-						t.Fatalf("%s workers=%d round %d: scores[%d]=%v differs from unpooled %v",
-							variant, workers, round, v, got[v], want[v])
-					}
+		pool := ws.NewPool()
+		s := Solver{Variant: variant, Pool: pool}
+		for round := 0; round < 3; round++ {
+			got, _, err := s.Query(g, 2, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("%s round %d: scores[%d]=%v differs from unpooled %v",
+						variant, round, v, got[v], want[v])
 				}
 			}
 		}

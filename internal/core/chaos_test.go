@@ -62,17 +62,17 @@ func TestChaosDeadlineInChosenPhase(t *testing.T) {
 	}
 }
 
-// TestChaosWalkWorkerPanicContained injects a panic inside the parallel
-// remedy walk workers: the query must fail with a *crash.PanicError that
-// names the worker and keeps the worker's stack, the workspace must be
-// discarded (not pooled), and the very next query on the same solver must
-// succeed with a clean answer.
+// TestChaosWalkWorkerPanicContained injects a panic at the remedy's walk
+// loop: the query must fail with a *crash.PanicError that keeps the
+// panicking goroutine's stack, the workspace must be discarded (not
+// pooled), and the very next query on the same solver must succeed with a
+// clean answer.
 func TestChaosWalkWorkerPanicContained(t *testing.T) {
 	defer faultinject.Reset()
 	g := gen.BarabasiAlbert(400, 4, 17)
 	p := algo.DefaultParams(g)
 	p.Seed = 3
-	s := Solver{Workers: 4}
+	s := Solver{}
 
 	want, _, err := s.Query(g, 0, p) // clean reference before the fault
 	if err != nil {
@@ -82,7 +82,7 @@ func TestChaosWalkWorkerPanicContained(t *testing.T) {
 	faultinject.Set("algo.remedy.worker", func() { panic("chaos: walk worker down") })
 	scores, _, err := s.QueryCtx(context.Background(), g, 0, p)
 	if err == nil {
-		t.Fatal("query succeeded despite panicking walk workers")
+		t.Fatal("query succeeded despite a panicking walk loop")
 	}
 	if !crash.IsPanic(err) {
 		t.Fatalf("err=%v, want a contained *crash.PanicError", err)
@@ -92,7 +92,7 @@ func TestChaosWalkWorkerPanicContained(t *testing.T) {
 		t.Fatalf("err %T does not unwrap to *crash.PanicError", err)
 	}
 	if len(pe.Stack) == 0 {
-		t.Fatal("contained panic lost the worker stack")
+		t.Fatal("contained panic lost its stack")
 	}
 	if scores != nil {
 		t.Fatal("panicked query returned scores")

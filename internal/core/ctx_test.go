@@ -45,30 +45,28 @@ func TestQueryWSCtxMatchesNoCtxBitIdentical(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	for _, variant := range []Variant{Full, NoLoop, NoSubgraph, NoOMFWD} {
-		for _, workers := range []int{1, 3} {
-			s := Solver{Variant: variant, Workers: workers}
-			plain := ws.New(g.N())
-			stPlain := s.QueryWS(g, 2, p, plain)
-			want := plain.ExtractScores()
+		s := Solver{Variant: variant}
+		plain := ws.New(g.N())
+		stPlain := s.QueryWS(g, 2, p, plain)
+		want := plain.ExtractScores()
 
-			withCtx := ws.New(g.N())
-			stCtx := s.QueryWSCtx(ctx, g, 2, p, withCtx)
-			got := withCtx.ExtractScores()
+		withCtx := ws.New(g.N())
+		stCtx := s.QueryWSCtx(ctx, g, 2, p, withCtx)
+		got := withCtx.ExtractScores()
 
-			if stCtx.Degraded {
-				t.Fatalf("%s workers=%d: unfired deadline reported degraded", variant, workers)
-			}
-			ctxPushes := stCtx.HopPushes + stCtx.OMFWDPushes
-			plainPushes := stPlain.HopPushes + stPlain.OMFWDPushes
-			if stCtx.Walks != stPlain.Walks || ctxPushes != plainPushes {
-				t.Fatalf("%s workers=%d: work differs ctx(w=%d p=%d) vs plain(w=%d p=%d)",
-					variant, workers, stCtx.Walks, ctxPushes, stPlain.Walks, plainPushes)
-			}
-			for v := range want {
-				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-					t.Fatalf("%s workers=%d: scores[%d]=%v differs from plain %v",
-						variant, workers, v, got[v], want[v])
-				}
+		if stCtx.Degraded {
+			t.Fatalf("%s: unfired deadline reported degraded", variant)
+		}
+		ctxPushes := stCtx.HopPushes + stCtx.OMFWDPushes
+		plainPushes := stPlain.HopPushes + stPlain.OMFWDPushes
+		if stCtx.Walks != stPlain.Walks || ctxPushes != plainPushes {
+			t.Fatalf("%s: work differs ctx(w=%d p=%d) vs plain(w=%d p=%d)",
+				variant, stCtx.Walks, ctxPushes, stPlain.Walks, plainPushes)
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s: scores[%d]=%v differs from plain %v",
+					variant, v, got[v], want[v])
 			}
 		}
 	}

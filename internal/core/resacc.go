@@ -162,11 +162,6 @@ var defaultPool = ws.NewPool()
 type Solver struct {
 	// Variant selects the full algorithm (zero value) or an ablation.
 	Variant Variant
-	// Workers parallelizes the remedy phase's random walks across this
-	// many goroutines (0 or 1 = sequential). The remedy phase dominates
-	// wall time on large graphs and parallelizes embarrassingly. Results
-	// stay deterministic per (Seed, Workers).
-	Workers int
 	// DenseSwitch sets the dense-sweep switchover threshold as a fraction
 	// of |E|: when the push drain's pending out-edge mass crosses
 	// DenseSwitch·|E|, the push phases escalate to CSR-ordered whole-range
@@ -239,11 +234,10 @@ func (s Solver) Query(g *graph.Graph, src int32, p algo.Params) ([]float64, Stat
 // got and how wrong the scores can be (see Stats.Degraded). The caller
 // decides whether a degraded answer is worth serving.
 //
-// A panic during the computation (including one re-raised from a remedy
-// walk worker) is converted into a *crash.PanicError and the borrowed
-// workspace is discarded instead of returned to the pool — its
-// generation-stamped bookkeeping may be mid-update and would poison later
-// queries.
+// A panic during the computation (including one in the remedy walks) is
+// converted into a *crash.PanicError and the borrowed workspace is
+// discarded instead of returned to the pool — its generation-stamped
+// bookkeeping may be mid-update and would poison later queries.
 func (s Solver) QueryCtx(ctx context.Context, g *graph.Graph, src int32, p algo.Params) (pi []float64, stats Stats, err error) {
 	if err := p.Validate(g); err != nil {
 		return nil, stats, err
@@ -343,7 +337,7 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 	// Phase 3: remedy.
 	faultinject.Hit("core.remedy.start")
 	start = time.Now()
-	rs := algo.Remedy(g, p, w, p.Seed, s.Workers, done)
+	rs := algo.Remedy(g, p, w, done)
 	stats.Remedy = time.Since(start)
 	stats.Walks = rs.Walks
 	if rs.Aborted {

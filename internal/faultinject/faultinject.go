@@ -15,7 +15,8 @@
 //	core.hhopfwd.start   before the h-HopFWD push loop
 //	core.omfwd.start     before the OMFWD push cascade
 //	core.remedy.start    before the remedy walk phase
-//	algo.remedy.worker   inside each parallel remedy walk worker
+//	algo.remedy.worker   once per remedy, after planning and before the
+//	                     first walk, on the goroutine that walks
 //	serve.compute        on the pool worker, before the computation
 //	live.swap            in the snapshot-swap pipeline, after the new
 //	                     snapshot is built but before it is published

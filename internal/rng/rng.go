@@ -44,13 +44,6 @@ func (s *Source) Reseed(seed uint64) {
 	}
 }
 
-// SplitInto reseeds dst, without allocating, to a stream independent of s
-// and of any other SplitInto result, suitable for handing to a worker
-// goroutine.
-func (s *Source) SplitInto(dst *Source) {
-	dst.Reseed(s.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
 // Uint64 returns the next 64 uniformly random bits.
 func (s *Source) Uint64() uint64 {
 	result := bits.RotateLeft64(s.s[1]*5, 7) * 9

@@ -137,19 +137,3 @@ func TestSampleEdgeCases(t *testing.T) {
 	}()
 	s.Sample(2, 3)
 }
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(99)
-	var c1, c2 Source
-	parent.SplitInto(&c1)
-	parent.SplitInto(&c2)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split streams collided %d times", same)
-	}
-}

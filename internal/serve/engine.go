@@ -94,21 +94,6 @@ type Engine[V any] struct {
 	histHit, histCompute      *obs.Histogram
 }
 
-// PerQueryBudget returns the intra-query parallelism budget left per
-// serving worker: GOMAXPROCS divided by the concurrent-computation count,
-// floored at 1. The facade clamps both walk and push parallelism with it
-// so serveWorkers concurrent queries never oversubscribe the machine.
-func PerQueryBudget(serveWorkers int) int {
-	if serveWorkers <= 0 {
-		serveWorkers = runtime.GOMAXPROCS(0)
-	}
-	b := runtime.GOMAXPROCS(0) / serveWorkers
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
 // New returns a started engine; Close it to stop the worker pool.
 func New[V any](cfg Config) *Engine[V] {
 	if cfg.CapacityBytes <= 0 {

@@ -43,11 +43,8 @@ type Workspace struct {
 	Start []int
 	Seeds []int32
 
-	// Rng is the query's deterministic walk generator (reseeded per query),
-	// and Streams the per-worker generators split from it for the parallel
-	// remedy phase.
-	Rng     rng.Source
-	Streams []rng.Source
+	// Rng is the query's deterministic walk generator (reseeded per query).
+	Rng rng.Source
 
 	// JobNodes/JobCounts are the planned remedy walk assignment (node,
 	// walk count; see algo.PlanRemedy), kept as parallel slices so
@@ -159,13 +156,4 @@ func (w *Workspace) ExtractScoresRemapped(toOld []int32) []float64 {
 		out[toOld[v]] = w.Reserve[v]
 	}
 	return out
-}
-
-// GrowStreams sizes the per-worker RNG scratch to k streams and returns it.
-func (w *Workspace) GrowStreams(k int) []rng.Source {
-	if cap(w.Streams) < k {
-		w.Streams = make([]rng.Source, k)
-	}
-	w.Streams = w.Streams[:k]
-	return w.Streams
 }

@@ -13,7 +13,7 @@ import (
 // liveTestEngine builds a deterministic engine (single worker, single walk
 // worker) so results are bit-identical across engines on the same graph.
 func liveTestEngine(g *Graph) *Engine {
-	return NewEngine(g, DefaultParams(g), EngineOptions{Workers: 1, WalkWorkers: 1})
+	return NewEngine(g, DefaultParams(g), EngineOptions{Workers: 1})
 }
 
 // tailEdit returns an edge between two late, low-degree nodes of a
@@ -51,7 +51,7 @@ func TestStartLiveSingleAttachment(t *testing.T) {
 func TestLiveSwapPurgesCache(t *testing.T) {
 	for _, relabel := range []bool{false, true} {
 		g := GenerateBarabasiAlbert(1500, 3, 9)
-		e := NewEngine(g, DefaultParams(g), EngineOptions{Workers: 1, WalkWorkers: 1, Relabel: relabel})
+		e := NewEngine(g, DefaultParams(g), EngineOptions{Workers: 1, Relabel: relabel})
 		l, err := e.StartLive(LiveOptions{MaxStaleness: time.Hour})
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ func TestLiveSnapshotBinaryRoundTrip(t *testing.T) {
 func TestLiveConcurrentQueriesAndMutations(t *testing.T) {
 	g := GenerateBarabasiAlbert(600, 3, 31)
 	n := int32(g.N())
-	e := NewEngine(g, DefaultParams(g), EngineOptions{Workers: 2, WalkWorkers: 1})
+	e := NewEngine(g, DefaultParams(g), EngineOptions{Workers: 2})
 	defer e.Close()
 
 	type delta struct{ add, rem [][2]int32 }
@@ -349,7 +349,7 @@ func TestLiveConcurrentQueriesAndMutations(t *testing.T) {
 	// Same params as e: an engine keeps its boot-time parameters across
 	// live swaps, and default params depend on the (changed) edge count.
 	e.Invalidate()
-	fresh := NewEngine(cur, DefaultParams(g), EngineOptions{Workers: 2, WalkWorkers: 1})
+	fresh := NewEngine(cur, DefaultParams(g), EngineOptions{Workers: 2})
 	defer fresh.Close()
 	ctx := context.Background()
 	for _, s := range []int32{0, 7, n / 2, n - 1} {

@@ -68,23 +68,3 @@ func TestEngineConcurrentQueriesSharedPool(t *testing.T) {
 	}
 	_ = g
 }
-
-// TestEngineWalkWorkerClamp checks the oversubscription fix: the resolved
-// per-query walk parallelism never lets Workers × WalkWorkers exceed
-// GOMAXPROCS (and is at least 1).
-func TestEngineWalkWorkerClamp(t *testing.T) {
-	g := GenerateBarabasiAlbert(50, 2, 1)
-	for _, tc := range []struct{ workers, walk int }{
-		{0, 0}, {1, 0}, {4, 0}, {1, 1024}, {2, 3}, {64, 64},
-	} {
-		e := NewEngine(g, DefaultParams(g), EngineOptions{Workers: tc.workers, WalkWorkers: tc.walk})
-		got := e.WalkWorkers()
-		if got < 1 {
-			t.Errorf("Workers=%d WalkWorkers=%d: resolved %d < 1", tc.workers, tc.walk, got)
-		}
-		if tc.walk > 0 && got > tc.walk {
-			t.Errorf("Workers=%d WalkWorkers=%d: resolved %d exceeds request", tc.workers, tc.walk, got)
-		}
-		e.Close()
-	}
-}

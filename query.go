@@ -59,7 +59,7 @@ func (r *Result) TopK(k int) []Ranked {
 
 // Query answers an approximate SSRWR query with ResAcc.
 func Query(g *Graph, source int32, p Params) (*Result, error) {
-	return querySolver(g, source, p, core.Solver{})
+	return QueryCtx(context.Background(), g, source, p)
 }
 
 // QueryCtx is Query under a context: a deadline or cancellation does not
@@ -70,28 +70,16 @@ func Query(g *Graph, source int32, p Params) (*Result, error) {
 // discard. A panic inside the solver is contained and returned as an
 // error.
 func QueryCtx(ctx context.Context, g *Graph, source int32, p Params) (*Result, error) {
-	return querySolverCtx(ctx, g, source, p, core.Solver{})
+	return querySolverOn(ctx, g, g, source, source, p, core.Solver{})
 }
 
-// querySolver is Query with an explicit solver, so callers that hold a
-// workspace pool or a walk-worker setting (the serving engine) reuse the
-// same hook/result plumbing.
-func querySolver(g *Graph, source int32, p Params, s core.Solver) (*Result, error) {
-	return querySolverCtx(context.Background(), g, source, p, s)
-}
-
-// querySolverCtx is the ctx-aware spine under Query/QueryCtx and the
-// engine's default compute.
-func querySolverCtx(ctx context.Context, g *Graph, source int32, p Params, s core.Solver) (*Result, error) {
-	return querySolverOn(ctx, g, g, source, source, p, s)
-}
-
-// querySolverOn is querySolverCtx with the serving boundary split out: the
-// solver runs on g with internal source src, while the query event and the
-// result speak the caller's id space (eventG, source). The two spaces
-// differ only for a relabeling engine — s.ScoreRemap translates the score
-// vector during extraction, so only the bookkeeping fields need mapping
-// here. Everywhere else the pairs coincide.
+// querySolverOn is the spine under QueryCtx and the engine's default
+// compute, with the serving boundary split out: the solver runs on g with
+// internal source src, while the query event and the result speak the
+// caller's id space (eventG, source). The two spaces differ only for a
+// relabeling engine — s.ScoreRemap translates the score vector during
+// extraction, so only the bookkeeping fields need mapping here. Everywhere
+// else the pairs coincide.
 func querySolverOn(ctx context.Context, g, eventG *Graph, src, source int32, p Params, s core.Solver) (*Result, error) {
 	start := time.Now()
 	scores, stats, err := s.QueryCtx(ctx, g, src, p)

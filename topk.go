@@ -61,9 +61,9 @@ func QueryTopKCtx(ctx context.Context, g *Graph, source int32, k int, p Params) 
 	return queryTopKSolverCtx(ctx, g, source, k, p, core.Solver{})
 }
 
-// queryTopKSolverCtx is QueryTopKCtx with an explicit solver (see
-// querySolver). It fires the query hooks once per round, and a degraded
-// round ends the loop with that round's ranking and residual bound.
+// queryTopKSolverCtx is QueryTopKCtx with an explicit solver. It fires the
+// query hooks once per round, and a degraded round ends the loop with that
+// round's ranking and residual bound.
 func queryTopKSolverCtx(ctx context.Context, g *Graph, source int32, k int, p Params, s core.Solver) (TopK, error) {
 	return queryTopKSolverOn(ctx, g, g, source, source, k, p, s)
 }
