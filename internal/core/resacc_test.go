@@ -410,3 +410,55 @@ func TestNoLoopMatchesFullEstimates(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelRemedyMeetsGuarantee: ResAcc meets Definition 1 on an R-MAT
+// graph at seed 11. (The name dates from the remedy walk fan-out this case
+// was written for.)
+func TestParallelRemedyMeetsGuarantee(t *testing.T) {
+	g := gen.RMAT(9, 5, 7)
+	p := algo.DefaultParams(g)
+	p.Seed = 11
+	est, err := Solver{}.SingleSource(g, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := groundTruth(t, g, 1, p)
+	if rel := eval.MaxRelErrAbove(truth, est, p.Delta); rel > p.Epsilon {
+		t.Fatalf("rel err %v > ε", rel)
+	}
+}
+
+// TestParallelDeterministic: two queries with the same seed return the
+// same scores. (The name dates from the remedy walk fan-out this case was
+// written for.)
+func TestParallelDeterministic(t *testing.T) {
+	g := gen.ErdosRenyi(300, 1800, 3)
+	p := algo.DefaultParams(g)
+	a, _, err := Solver{}.Query(g, 2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := Solver{}.Query(g, 2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatal("query not deterministic for a fixed seed")
+		}
+	}
+}
+
+// TestParallelStatsStillReported: a query's stats count its remedy walks.
+// (The name dates from the remedy walk fan-out this case was written for.)
+func TestParallelStatsStillReported(t *testing.T) {
+	g := gen.Grid(10, 10)
+	p := algo.DefaultParams(g)
+	_, st, err := Solver{}.Query(g, 0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Walks <= 0 {
+		t.Fatal("remedy reported no walks")
+	}
+}
