@@ -9,14 +9,16 @@ import (
 
 	"resacc/internal/algo"
 	"resacc/internal/algo/fora"
+	"resacc/internal/algo/forward"
 	"resacc/internal/algo/topppr"
 	"resacc/internal/dataset"
 )
 
 // TestBaselineGoldenHashes pins the exact output of the baselines that
 // finish with the remedy phase — FORA (uncapped and under a MaxWalks cap),
-// FORA+ and TopPPR in two configurations — as an FNV-64a hash over the
-// Float64bits of every score, per (dataset, algorithm, source). Any change
+// FORA+ and TopPPR in two configurations — and of the FWD baseline at the
+// paper's r_max = 1e-12, as an FNV-64a hash over the Float64bits of every
+// score, per (dataset, algorithm, source). Any change
 // to push order, float summation order, walk planning or rng consumption
 // moves a hash. The values are amd64's: other architectures may fuse
 // multiply-adds and round differently.
@@ -45,6 +47,10 @@ func TestBaselineGoldenHashes(t *testing.T) {
 		"webstan-s/topppr/k=20/src=7":         "739e12e4277f2ba5",
 		"webstan-s/topppr/k=20/src=123":       "4e16ea6de5037222",
 		"webstan-s/topppr/k=20/src=401":       "3791b8026f414526",
+		"webstan-s/fwd/src=0":                 "98c0abc9a1f808b2",
+		"webstan-s/fwd/src=7":                 "5d602dc5d6d5cdce",
+		"webstan-s/fwd/src=123":               "bafe680daae61bf7",
+		"webstan-s/fwd/src=401":               "a665505d6e5c4365",
 		"dblp-s/fora/src=0":                   "ae9eabe5a3375477",
 		"dblp-s/fora/src=7":                   "fd18b8ca60d9acb4",
 		"dblp-s/fora/src=123":                 "d679d0b8512e50c6",
@@ -65,6 +71,10 @@ func TestBaselineGoldenHashes(t *testing.T) {
 		"dblp-s/topppr/k=20/src=7":            "dfbd494cdf7c9010",
 		"dblp-s/topppr/k=20/src=123":          "0d9ba1a8c11cbb3b",
 		"dblp-s/topppr/k=20/src=401":          "9e41ba69243a1ab9",
+		"dblp-s/fwd/src=0":                    "953219f98900477f",
+		"dblp-s/fwd/src=7":                    "081ff95155dbf298",
+		"dblp-s/fwd/src=123":                  "ee183a447fb4034f",
+		"dblp-s/fwd/src=401":                  "7682faa9ed81a86a",
 	}
 	for _, ds := range []string{"webstan-s", "dblp-s"} {
 		g := dataset.MustBuild(ds, 0.05)
@@ -85,6 +95,7 @@ func TestBaselineGoldenHashes(t *testing.T) {
 			{"fora+", fora.PlusSolver{Index: ix}, p},
 			{"topppr", topppr.Solver{}, p},
 			{"topppr/k=20", topppr.Solver{K: 20, MaxCandidates: 32, RMaxB: 1e-3}, p},
+			{"fwd", forward.Solver{RMax: 1e-12}, p},
 		}
 		for _, run := range runs {
 			for _, src := range []int32{0, 7, 123, 401} {
