@@ -122,14 +122,17 @@ func BenchmarkQueryTable3(b *testing.B) {
 
 // --- primitive micro-benchmarks --------------------------------------------
 
+// BenchmarkForwardPush times one forward search (the FWD baseline's
+// drain) from source 1, workspace reset included, on one reused workspace.
 func BenchmarkForwardPush(b *testing.B) {
 	g := dataset.MustBuild("twitter-s", 0.1)
 	p := algo.DefaultParams(g)
+	w := ws.New(g.N())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := forward.NewState(g.N(), 1)
-		forward.Run(g, p.Alpha, p.RMaxF, st)
+		w.Reset(g.N())
+		forward.RunWS(g, p.Alpha, p.RMaxF, w, 1)
 	}
 }
 

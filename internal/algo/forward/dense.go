@@ -3,21 +3,33 @@ package forward
 import (
 	"resacc/internal/algo/powerpush"
 	"resacc/internal/graph"
+	"resacc/internal/ws"
 )
 
-// drainDense is drain's loop for the pooled configuration: every touch is
-// recorded in Track and queue membership lives in the generation-stamped
-// queueMarks, unconditionally. The bookkeeping pointers are hoisted into
-// locals — the compiler cannot prove that writes through the residue slice
-// don't alias the State's own fields, so field accesses would reload per
-// edge.
+// cancelCheckMask amortizes the done-channel poll in drainDense to one
+// non-blocking receive per 256 dequeues; with a nil done the check is a
+// single predictable branch.
+const cancelCheckMask = 255
+
+// drainDense processes w's queue until empty (Definition 7's push
+// operation) and reports whether the done channel cut it short. Every
+// touch is recorded in w.Dirty and queue membership lives in the
+// generation-stamped w.InQueue. The bookkeeping pointers and the vectors
+// are hoisted into locals — the compiler cannot prove that writes through
+// the residue slice don't alias the workspace's own fields, so field
+// accesses would reload per edge. The queue stays in w.Queue: held in a
+// local slice as well, it measured about 10% slower on the queue-only
+// drain (BenchmarkHHopFWDPhaseNoSweep), the extra live registers costing
+// more than the reloads. It is consumed by index rather than re-slicing
+// and left empty at every return, so its capacity survives for the next
+// search.
 //
-// Unlike drainGeneric, push eligibility (mayPush) is checked at dequeue
-// time rather than per arriving edge: an ineligible node (the h-HopFWD
-// source or a frontier node outside the subgraph) may enter the queue but
-// is discarded when popped, before its residue is disturbed. The sequence
-// of pushes — and therefore every reserve/residue value — is bit-identical
-// either way; what moves is the cost, from one restriction stamp load per
+// Push eligibility (mayPush) is checked at dequeue time rather than per
+// arriving edge: an ineligible node (the h-HopFWD source or a frontier
+// node outside the subgraph) may enter the queue but is discarded when
+// popped, before its residue is disturbed. The sequence of pushes — and
+// therefore every reserve/residue value — is bit-identical to checking it
+// per edge; what moves is the cost, from one restriction stamp load per
 // edge of the hottest loop to one check per (much rarer) dequeue.
 //
 // The loop also tracks the queue's pending out-edge mass incrementally and,
@@ -32,34 +44,32 @@ import (
 // round's* mass, which does not bound the frontier it leaves), the loop just
 // escalates again.
 //
-// Below the threshold the push sequence — and therefore every reserve and
-// residue bit — is identical to drainGeneric's. Above it, each sweep push is
-// the same Definition 7 operation, so the drain still terminates at the
-// common quiescence condition and every downstream bound (r_sum walk budget,
-// ε/δ guarantee, degraded-result residual) is unchanged; only float
-// summation order differs. Aborts mid-sweep are as safe as mid-drain: the
-// queue was already flushed and the half-swept state preserves the push
-// invariant.
-func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan struct{}, denseMass int) (aborted bool) {
-	track, qm := st.Track, st.queueMarks
+// Each sweep push is the same Definition 7 operation, so the drain still
+// terminates at the common quiescence condition and every downstream bound
+// (r_sum walk budget, ε/δ guarantee, degraded-result residual) is
+// unchanged; only float summation order differs from the queue alone.
+// Aborts mid-sweep are as safe as mid-drain: the queue was already flushed
+// and the half-swept state preserves the push invariant.
+func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, w *ws.Workspace, done <-chan struct{}, denseMass int) (aborted bool) {
+	track, qm := &w.Dirty, &w.InQueue
 	restrict, skip, hasSkip := st.restrict, st.skip, st.hasSkip
-	reserve, residue := st.Reserve, st.Residue
+	reserve, residue := w.Reserve, w.Residue
 	sweepSkip := int32(-1)
 	if hasSkip {
 		sweepSkip = skip
 	}
 	n := int32(g.N())
 	pending := 0
-	for _, v := range st.queue {
+	for _, v := range w.Queue {
 		pending += cost(g, v)
 	}
 	var pushes int64
-	for head := 0; head < len(st.queue); head++ {
+	for head := 0; head < len(w.Queue); head++ {
 		if pending >= denseMass {
-			for _, v := range st.queue[head:] {
+			for _, v := range w.Queue[head:] {
 				qm.Unmark(v)
 			}
-			st.queue = st.queue[:0]
+			w.Queue = w.Queue[:0]
 			track.MarkAll(int(n))
 			st.Pushes += pushes
 			pushes = 0
@@ -82,7 +92,7 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 					continue
 				}
 				if satisfies(g, rmax, rv, v) && qm.Mark(v) {
-					st.queue = append(st.queue, v)
+					w.Queue = append(w.Queue, v)
 					pending += cost(g, v)
 				}
 			}
@@ -93,12 +103,12 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 			select {
 			case <-done:
 				st.Pushes += pushes
-				st.queue = st.queue[:0]
+				w.Queue = w.Queue[:0]
 				return true
 			default:
 			}
 		}
-		v := st.queue[head]
+		v := w.Queue[head]
 		qm.Unmark(v)
 		d := g.OutDegree(v)
 		pending -= max(d, 1) // cost(g, v); d is reused by the push below
@@ -122,26 +132,26 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, done <-chan str
 		}
 		reserve[v] += alpha * rv
 		share := (1 - alpha) * rv / float64(d)
-		for _, w := range g.Out(v) {
+		for _, u := range g.Out(v) {
 			// A non-zero slot is marked already: every write that makes a
 			// slot non-zero marks it, and MarkAll precedes every sweep.
-			if residue[w] == 0 {
-				track.Mark(w)
+			if residue[u] == 0 {
+				track.Mark(u)
 			}
-			residue[w] += share
-			if qm.Has(w) {
+			residue[u] += share
+			if qm.Has(u) {
 				continue
 			}
-			// satisfies(g, rmax, residue[w], w), reading the degree once
+			// satisfies(g, rmax, residue[u], u), reading the degree once
 			// for both the threshold and pending: rmax·1 is exactly rmax.
-			if c := cost(g, w); residue[w] >= rmax*float64(c) && qm.Mark(w) {
-				st.queue = append(st.queue, w)
+			if c := cost(g, u); residue[u] >= rmax*float64(c) && qm.Mark(u) {
+				w.Queue = append(w.Queue, u)
 				pending += c
 			}
 		}
 	}
 	st.Pushes += pushes
-	st.queue = st.queue[:0]
+	w.Queue = w.Queue[:0]
 	return false
 }
 

@@ -25,24 +25,24 @@ func TestFigure1Trace(t *testing.T) {
 	b.AddEdge(3, 0)
 	b.AddEdge(3, 1)
 	g := b.MustBuild()
-	st := NewState(g.N(), 0)
-	Run(g, 0.2, 0.3, st)
-	if math.Abs(st.Residue[3]-0.576) > 1e-12 {
-		t.Fatalf("residue(v4)=%v, want 0.576", st.Residue[3])
+	w := ws.New(g.N())
+	RunWS(g, 0.2, 0.3, w, 0)
+	if math.Abs(w.Residue[3]-0.576) > 1e-12 {
+		t.Fatalf("residue(v4)=%v, want 0.576", w.Residue[3])
 	}
-	if st.Residue[0] != 0 || st.Residue[1] != 0 || st.Residue[2] != 0 {
-		t.Fatalf("unexpected residues: %v", st.Residue)
+	if w.Residue[0] != 0 || w.Residue[1] != 0 || w.Residue[2] != 0 {
+		t.Fatalf("unexpected residues: %v", w.Residue)
 	}
 }
 
 func TestMassConservation(t *testing.T) {
 	check := func(seed uint64) bool {
 		g := gen.ErdosRenyi(100, 500, seed)
-		st := NewState(g.N(), 0)
-		Run(g, 0.2, 1e-6, st)
+		w := ws.New(g.N())
+		RunWS(g, 0.2, 1e-6, w, 0)
 		total := 0.0
-		for i := range st.Reserve {
-			total += st.Reserve[i] + st.Residue[i]
+		for i := range w.Reserve {
+			total += w.Reserve[i] + w.Residue[i]
 		}
 		return math.Abs(total-1) < 1e-9
 	}
@@ -54,17 +54,17 @@ func TestMassConservation(t *testing.T) {
 func TestNoNodeSatisfiesPushConditionAfterRun(t *testing.T) {
 	g := gen.RMAT(8, 4, 7)
 	rmax := 1e-7
-	st := NewState(g.N(), 0)
-	Run(g, 0.2, rmax, st)
+	w := ws.New(g.N())
+	RunWS(g, 0.2, rmax, w, 0)
 	for v := int32(0); int(v) < g.N(); v++ {
 		d := g.OutDegree(v)
 		if d == 0 {
-			if st.Residue[v] >= rmax {
-				t.Fatalf("dead end %d still pushable: %v", v, st.Residue[v])
+			if w.Residue[v] >= rmax {
+				t.Fatalf("dead end %d still pushable: %v", v, w.Residue[v])
 			}
 			continue
 		}
-		if st.Residue[v]/float64(d) >= rmax {
+		if w.Residue[v]/float64(d) >= rmax {
 			t.Fatalf("node %d still satisfies push condition", v)
 		}
 	}
@@ -78,11 +78,11 @@ func TestReserveConvergesToTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewState(g.N(), 0)
-	Run(g, p.Alpha, 1e-12, st)
+	w := ws.New(g.N())
+	RunWS(g, p.Alpha, 1e-12, w, 0)
 	for v := range truth {
-		if math.Abs(st.Reserve[v]-truth[v]) > 1e-8 {
-			t.Fatalf("node %d: reserve %v vs truth %v", v, st.Reserve[v], truth[v])
+		if math.Abs(w.Reserve[v]-truth[v]) > 1e-8 {
+			t.Fatalf("node %d: reserve %v vs truth %v", v, w.Reserve[v], truth[v])
 		}
 	}
 }
@@ -90,13 +90,14 @@ func TestReserveConvergesToTruth(t *testing.T) {
 func TestSmallerRMaxMorePushes(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 9)
 	var prev int64 = -1
+	w := ws.New(g.N())
 	for _, rmax := range []float64{1e-3, 1e-5, 1e-7} {
-		st := NewState(g.N(), 0)
-		Run(g, 0.2, rmax, st)
-		if st.Pushes < prev {
+		w.Reset(g.N())
+		pushes := RunWS(g, 0.2, rmax, w, 0)
+		if pushes < prev {
 			t.Fatalf("pushes decreased at rmax=%v", rmax)
 		}
-		prev = st.Pushes
+		prev = pushes
 	}
 }
 
@@ -106,18 +107,19 @@ func TestRunFromForce(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	g := b.MustBuild()
-	st := NewState(3, 0)
-	st.Residue[0] = 1e-9 // far below any reasonable threshold
-	st.EnsureQueue(3)
-	RunFrom(g, 0.2, 0.5, st, []int32{0}, true, nil, 0)
-	if st.Reserve[0] == 0 {
+	w := ws.New(3)
+	w.SetResidue(0, 1e-9) // far below any reasonable threshold
+	var st State
+	st.RunFrom(g, 0.2, 0.5, w, []int32{0}, true, nil, 0)
+	if w.Reserve[0] == 0 {
 		t.Fatal("forced seed did not push")
 	}
 	// Unforced: nothing happens.
-	st2 := NewState(3, 0)
-	st2.Residue[0] = 1e-9
-	RunFrom(g, 0.2, 0.5, st2, []int32{0}, false, nil, 0)
-	if st2.Reserve[0] != 0 {
+	w2 := ws.New(3)
+	w2.SetResidue(0, 1e-9)
+	var st2 State
+	st2.RunFrom(g, 0.2, 0.5, w2, []int32{0}, false, nil, 0)
+	if w2.Reserve[0] != 0 {
 		t.Fatal("unforced sub-threshold seed pushed")
 	}
 }
@@ -160,37 +162,30 @@ func TestDeadEndPushConvertsAll(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1) // node 1 is a dead end
 	g := b.MustBuild()
-	st := NewState(2, 0)
-	Run(g, 0.2, 1e-9, st)
+	w := ws.New(2)
+	RunWS(g, 0.2, 1e-9, w, 0)
 	// π(0,0)=α, π(0,1)=1-α; everything should be reserve.
-	if math.Abs(st.Reserve[0]-0.2) > 1e-12 || math.Abs(st.Reserve[1]-0.8) > 1e-12 {
-		t.Fatalf("reserves=%v", st.Reserve)
+	if math.Abs(w.Reserve[0]-0.2) > 1e-12 || math.Abs(w.Reserve[1]-0.8) > 1e-12 {
+		t.Fatalf("reserves=%v", w.Reserve)
 	}
-	if st.Residue[0]+st.Residue[1] != 0 {
-		t.Fatalf("residues should be zero: %v", st.Residue)
+	if w.Residue[0]+w.Residue[1] != 0 {
+		t.Fatalf("residues should be zero: %v", w.Residue)
 	}
 }
 
-// TestSparseResidueSumMatchesDense: with Track set ResidueSum must agree
-// with the dense scan (satellite: O(dirty) instead of O(n)).
+// TestSparseResidueSumMatchesDense: after a drain, the workspace's sparse
+// residue sum over its dirty slots (OMFWD's r_sum) must agree with the
+// dense scan of every slot.
 func TestSparseResidueSumMatchesDense(t *testing.T) {
 	g := gen.ErdosRenyi(400, 2000, 21)
-	n := g.N()
-	st := &State{Reserve: make([]float64, n), Residue: make([]float64, n)}
-	var track, inQueue ws.Marks
-	track.Grow(n)
-	inQueue.Grow(n)
-	st.Track = &track
-	st.UseScratch(&inQueue, nil)
-	st.Residue[0] = 1
-	track.Mark(0)
-	RunFrom(g, 0.2, 1e-4, st, []int32{0}, false, nil, 0)
-	sparse := st.ResidueSum()
+	w := ws.New(g.N())
+	RunWS(g, 0.2, 1e-4, w, 0)
+	sparse := w.SumResidue()
 	dense := 0.0
-	for _, r := range st.Residue {
+	for _, r := range w.Residue {
 		dense += r
 	}
-	if math.Abs(sparse-dense) > 1e-12 {
-		t.Fatalf("sparse ResidueSum=%v, dense=%v", sparse, dense)
+	if sparse == 0 || math.Abs(sparse-dense) > 1e-12 {
+		t.Fatalf("sparse SumResidue=%v, dense=%v", sparse, dense)
 	}
 }

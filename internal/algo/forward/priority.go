@@ -4,52 +4,54 @@ import (
 	"container/heap"
 
 	"resacc/internal/graph"
+	"resacc/internal/ws"
 )
 
-// RunPrioritized performs forward search like Run but schedules pushes in
-// decreasing order of r(v)/d_out(v) instead of FIFO. Pushing the largest
-// normalized residues first converts more mass per operation, which lowers
-// the total push count on skewed graphs at the price of heap overhead per
-// operation — the classic scheduling trade-off in local push methods. Both
-// schedules terminate in states satisfying the same push-condition bound,
-// so the accuracy of downstream phases is unchanged.
-func RunPrioritized(g *graph.Graph, alpha, rmax float64, st *State) {
-	n := g.N()
-	if len(st.inQueue) < n {
-		st.inQueue = make([]bool, n)
+// RunPrioritized performs forward search from s on a reset workspace like
+// RunWS but schedules pushes in decreasing order of r(v)/d_out(v) instead
+// of FIFO, and returns the push count. Pushing the largest normalized
+// residues first converts more mass per operation, which lowers the total
+// push count on skewed graphs at the price of heap overhead per operation
+// — the classic scheduling trade-off in local push methods. Both schedules
+// terminate in states satisfying the same push-condition bound, so the
+// accuracy of downstream phases is unchanged. The heap is kept in w.Queue
+// and its membership in w.InQueue.
+func RunPrioritized(g *graph.Graph, alpha, rmax float64, w *ws.Workspace, s int32) int64 {
+	w.SetResidue(s, 1)
+	w.InQueue.Clear()
+	pq := &residueHeap{g: g, residue: w.Residue, items: w.Queue[:0]}
+	if satisfies(g, rmax, 1, s) {
+		w.InQueue.Mark(s)
+		pq.items = append(pq.items, s)
 	}
-	pq := &residueHeap{g: g, st: st}
-	for v := int32(0); v < int32(n); v++ {
-		if st.Residue[v] > 0 && satisfies(g, rmax, st.Residue[v], v) {
-			st.inQueue[v] = true
-			pq.items = append(pq.items, v)
-		}
-	}
-	heap.Init(pq)
+	var pushes int64
 	for pq.Len() > 0 {
 		v := heap.Pop(pq).(int32)
-		st.inQueue[v] = false
-		rv := st.Residue[v]
+		w.InQueue.Unmark(v)
+		rv := w.Residue[v]
 		if rv == 0 || !satisfies(g, rmax, rv, v) {
 			continue
 		}
-		st.Residue[v] = 0
-		st.Pushes++
+		// v is in w.Dirty already: the write that gave it residue marked it.
+		w.Residue[v] = 0
+		pushes++
 		d := g.OutDegree(v)
 		if d == 0 {
-			st.Reserve[v] += rv
+			w.Reserve[v] += rv
 			continue
 		}
-		st.Reserve[v] += alpha * rv
+		w.Reserve[v] += alpha * rv
 		share := (1 - alpha) * rv / float64(d)
-		for _, w := range g.Out(v) {
-			st.Residue[w] += share
-			if !st.inQueue[w] && satisfies(g, rmax, st.Residue[w], w) {
-				st.inQueue[w] = true
-				heap.Push(pq, w)
+		for _, u := range g.Out(v) {
+			w.AddResidue(u, share)
+			if !w.InQueue.Has(u) && satisfies(g, rmax, w.Residue[u], u) {
+				w.InQueue.Mark(u)
+				heap.Push(pq, u)
 			}
 		}
 	}
+	w.Queue = pq.items[:0]
+	return pushes
 }
 
 // residueHeap orders nodes by decreasing normalized residue. Residues
@@ -57,17 +59,17 @@ func RunPrioritized(g *graph.Graph, alpha, rmax float64, st *State) {
 // RunPrioritized keeps the schedule correct (a stale priority only costs
 // ordering quality, never correctness).
 type residueHeap struct {
-	g     *graph.Graph
-	st    *State
-	items []int32
+	g       *graph.Graph
+	residue []float64
+	items   []int32
 }
 
 func (h *residueHeap) priority(v int32) float64 {
 	d := h.g.OutDegree(v)
 	if d == 0 {
-		return h.st.Residue[v]
+		return h.residue[v]
 	}
-	return h.st.Residue[v] / float64(d)
+	return h.residue[v] / float64(d)
 }
 
 func (h *residueHeap) Len() int { return len(h.items) }

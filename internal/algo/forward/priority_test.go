@@ -7,15 +7,16 @@ import (
 	"resacc/internal/algo"
 	"resacc/internal/algo/power"
 	"resacc/internal/graph/gen"
+	"resacc/internal/ws"
 )
 
 func TestPrioritizedMassConservation(t *testing.T) {
 	g := gen.RMAT(8, 5, 3)
-	st := NewState(g.N(), 0)
-	RunPrioritized(g, 0.2, 1e-7, st)
+	w := ws.New(g.N())
+	RunPrioritized(g, 0.2, 1e-7, w, 0)
 	total := 0.0
-	for i := range st.Reserve {
-		total += st.Reserve[i] + st.Residue[i]
+	for i := range w.Reserve {
+		total += w.Reserve[i] + w.Residue[i]
 	}
 	if math.Abs(total-1) > 1e-9 {
 		t.Fatalf("mass %v", total)
@@ -25,10 +26,10 @@ func TestPrioritizedMassConservation(t *testing.T) {
 func TestPrioritizedTerminatesBelowThreshold(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 5)
 	rmax := 1e-6
-	st := NewState(g.N(), 0)
-	RunPrioritized(g, 0.2, rmax, st)
+	w := ws.New(g.N())
+	RunPrioritized(g, 0.2, rmax, w, 0)
 	for v := int32(0); int(v) < g.N(); v++ {
-		if satisfies(g, rmax, st.Residue[v], v) {
+		if satisfies(g, rmax, w.Residue[v], v) {
 			t.Fatalf("node %d still pushable", v)
 		}
 	}
@@ -41,11 +42,11 @@ func TestPrioritizedMatchesTruthAtTinyThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewState(g.N(), 0)
-	RunPrioritized(g, p.Alpha, 1e-12, st)
+	w := ws.New(g.N())
+	RunPrioritized(g, p.Alpha, 1e-12, w, 0)
 	for v := range truth {
-		if math.Abs(st.Reserve[v]-truth[v]) > 1e-7 {
-			t.Fatalf("node %d: %v vs %v", v, st.Reserve[v], truth[v])
+		if math.Abs(w.Reserve[v]-truth[v]) > 1e-7 {
+			t.Fatalf("node %d: %v vs %v", v, w.Reserve[v], truth[v])
 		}
 	}
 }
@@ -55,11 +56,11 @@ func TestPrioritizedNeverMorePushesOnSkewedGraph(t *testing.T) {
 	// FIFO on a skewed graph. (It is not a theorem for all graphs; assert
 	// it on the shape it targets, with slack for ties.)
 	g := gen.BarabasiAlbert(2000, 4, 9)
-	fifo := NewState(g.N(), 0)
-	Run(g, 0.2, 1e-7, fifo)
-	prio := NewState(g.N(), 0)
-	RunPrioritized(g, 0.2, 1e-7, prio)
-	if float64(prio.Pushes) > 1.05*float64(fifo.Pushes) {
-		t.Fatalf("prioritized pushes %d vs FIFO %d", prio.Pushes, fifo.Pushes)
+	w := ws.New(g.N())
+	fifo := RunWS(g, 0.2, 1e-7, w, 0)
+	w.Reset(g.N())
+	prio := RunPrioritized(g, 0.2, 1e-7, w, 0)
+	if float64(prio) > 1.05*float64(fifo) {
+		t.Fatalf("prioritized pushes %d vs FIFO %d", prio, fifo)
 	}
 }

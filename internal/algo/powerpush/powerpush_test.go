@@ -90,8 +90,8 @@ func TestSweepMatchesQueueDrain(t *testing.T) {
 			g := tc.g
 			n := g.N()
 
-			st := forward.NewState(n, 0)
-			forward.Run(g, alpha, rmax, st)
+			q := ws.New(n)
+			forward.RunWS(g, alpha, rmax, q, 0)
 
 			reserve := make([]float64, n)
 			residue := make([]float64, n)
@@ -104,10 +104,10 @@ func TestSweepMatchesQueueDrain(t *testing.T) {
 				t.Fatalf("no work recorded: %+v", pst)
 			}
 
-			quiescent(t, g, rmax, st.Residue, "queue")
+			quiescent(t, g, rmax, q.Residue, "queue")
 			quiescent(t, g, rmax, residue, "sweep")
 
-			qrsv, qrsd := sums(st.Reserve, st.Residue)
+			qrsv, qrsd := sums(q.Reserve, q.Residue)
 			srsv, srsd := sums(reserve, residue)
 			if math.Abs(qrsv+qrsd-1) > 1e-9 {
 				t.Fatalf("queue drain lost mass: Σ=%v", qrsv+qrsd)
@@ -121,7 +121,7 @@ func TestSweepMatchesQueueDrain(t *testing.T) {
 			// within the sum of the two of each other, per node.
 			bound := qrsd + srsd + 1e-12
 			for v := 0; v < n; v++ {
-				if diff := math.Abs(st.Reserve[v] - reserve[v]); diff > bound {
+				if diff := math.Abs(q.Reserve[v] - reserve[v]); diff > bound {
 					t.Fatalf("node %d: |queue−sweep| = %v > residual bound %v", v, diff, bound)
 				}
 			}
@@ -145,9 +145,11 @@ func TestSweepRestrictAndSkip(t *testing.T) {
 	}
 	const skip = int32(7)
 
-	st := forward.NewState(n, 0)
+	q := ws.New(n)
+	q.SetResidue(0, 1)
+	var st forward.State
 	st.RestrictTo(&restrict, skip)
-	forward.Run(g, alpha, rmax, st)
+	st.RunFrom(g, alpha, rmax, q, []int32{0}, false, nil, 0)
 
 	reserve := make([]float64, n)
 	residue := make([]float64, n)
@@ -169,26 +171,26 @@ func TestSweepRestrictAndSkip(t *testing.T) {
 				t.Fatalf("eligible node %d not drained: %v", v, residue[v])
 			}
 		} else {
-			qOut += st.Residue[v]
-			sOut += st.Reserve[v]
+			qOut += q.Residue[v]
+			sOut += q.Reserve[v]
 			if reserve[v] != 0 {
 				t.Fatalf("ineligible node %d gained reserve %v in sweep", v, reserve[v])
 			}
-			if st.Reserve[v] != 0 {
-				t.Fatalf("ineligible node %d gained reserve %v in queue drain", v, st.Reserve[v])
+			if q.Reserve[v] != 0 {
+				t.Fatalf("ineligible node %d gained reserve %v in queue drain", v, q.Reserve[v])
 			}
 		}
 	}
 	_ = qOut
 	_ = sOut
-	qrsv, qrsd := sums(st.Reserve, st.Residue)
+	qrsv, qrsd := sums(q.Reserve, q.Residue)
 	srsv, srsd := sums(reserve, residue)
 	if math.Abs(qrsv+qrsd-1) > 1e-9 || math.Abs(srsv+srsd-1) > 1e-9 {
 		t.Fatalf("mass lost: queue Σ=%v sweep Σ=%v", qrsv+qrsd, srsv+srsd)
 	}
 	bound := qrsd + srsd + 1e-12
 	for v := 0; v < n; v++ {
-		if diff := math.Abs(st.Reserve[v] - reserve[v]); diff > bound {
+		if diff := math.Abs(q.Reserve[v] - reserve[v]); diff > bound {
 			t.Fatalf("node %d: |queue−sweep| = %v > %v", v, diff, bound)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"resacc/internal/eval"
 	"resacc/internal/graph"
 	"resacc/internal/workload"
+	"resacc/internal/ws"
 )
 
 // The X-series experiments are extensions beyond the paper, exercising the
@@ -158,18 +159,18 @@ func runX4Scheduling(cfg Config) error {
 			return err
 		}
 		rmax := p.RMaxF
-		run := func(label string, exec func(st *forward.State)) {
+		run := func(label string, exec func(w *ws.Workspace, src int32) int64) {
+			w := ws.New(g.N())
 			start := time.Now()
 			var pushes int64
 			for _, src := range sources {
-				st := forward.NewState(g.N(), src)
-				exec(st)
-				pushes += st.Pushes
+				w.Reset(g.N())
+				pushes += exec(w, src)
 			}
 			t.row(name, label, pushes/int64(len(sources)), time.Since(start)/time.Duration(len(sources)))
 		}
-		run("FIFO", func(st *forward.State) { forward.Run(g, p.Alpha, rmax, st) })
-		run("max-residue-first", func(st *forward.State) { forward.RunPrioritized(g, p.Alpha, rmax, st) })
+		run("FIFO", func(w *ws.Workspace, src int32) int64 { return forward.RunWS(g, p.Alpha, rmax, w, src) })
+		run("max-residue-first", func(w *ws.Workspace, src int32) int64 { return forward.RunPrioritized(g, p.Alpha, rmax, w, src) })
 	}
 	t.flush()
 	return nil

@@ -71,9 +71,9 @@ func pollDone(done <-chan struct{}, iter int) bool {
 // pays neither the allocation nor the O(n) "everything is in the subgraph"
 // memset the dense representation needed.
 //
-// The cascade runs on forward.RunFrom's pooled drain, which escalates to
-// whole-range dense sweeps once its pending out-edge mass reaches
-// denseMass (0 = queue only; see Solver.DenseSwitch).
+// The cascade runs on the forward drain (forward.State.RunFrom), which
+// escalates to whole-range dense sweeps once its pending out-edge mass
+// reaches denseMass (0 = queue only; see Solver.DenseSwitch).
 //
 // done, when non-nil, is the query context's cancellation channel; the
 // push loop polls it at amortized intervals and stops early (info.aborted)
@@ -124,16 +124,12 @@ func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeG
 	// Lines 3-7: push at subgraph nodes (never at s) until quiescent: the
 	// forward drain, restricted to the subgraph members minus the source.
 	var st forward.State
-	st.Reserve, st.Residue = w.Reserve, w.Residue
-	st.Track = &w.Dirty
 	if wholeGraph {
 		st.RestrictTo(nil, src)
 	} else {
 		st.RestrictTo(&w.InSub, src)
 	}
-	st.UseScratch(&w.InQueue, w.Queue)
-	info.aborted = forward.RunFrom(g, alpha, rmaxHop, &st, g.Out(src), false, done, denseMass)
-	w.Queue = st.TakeQueue()
+	info.aborted = st.RunFrom(g, alpha, rmaxHop, w, g.Out(src), false, done, denseMass)
 	info.pushes += st.Pushes
 	info.sweeps = st.Sweeps
 	if info.aborted {
@@ -215,12 +211,8 @@ func runRestrictedForward(g *graph.Graph, src int32, alpha, rmaxHop float64, h i
 	// source pushes repeatedly like any other node (skip = -1).
 	w.Seeds = append(w.Seeds[:0], src)
 	var st forward.State
-	st.Reserve, st.Residue = w.Reserve, w.Residue
-	st.Track = &w.Dirty
 	st.RestrictTo(&w.InSub, -1)
-	st.UseScratch(&w.InQueue, w.Queue)
-	info.aborted = forward.RunFrom(g, alpha, rmaxHop, &st, w.Seeds, false, done, denseMass)
-	w.Queue = st.TakeQueue()
+	info.aborted = st.RunFrom(g, alpha, rmaxHop, w, w.Seeds, false, done, denseMass)
 	info.pushes = st.Pushes
 	info.sweeps = st.Sweeps
 	info.r1 = w.Residue[src]

@@ -27,9 +27,8 @@ type omInfo struct {
 // (larger) threshold r_max^f. The cascade escalates to dense sweeps once
 // its pending out-edge mass reaches denseMass (0 = queue only).
 //
-// The search runs entirely on the workspace: reserve/residue writes are
-// tracked in w.Dirty and the queue bookkeeping borrows w.InQueue/w.Queue,
-// so the phase allocates nothing in steady state.
+// The search runs on the workspace (see forward.State), so the phase
+// allocates nothing in steady state.
 func runOMFWD(g *graph.Graph, alpha, rmaxF float64, w *ws.Workspace, frontier []int32, denseMass int, done <-chan struct{}) omInfo {
 	faultinject.Hit("core.omfwd.start")
 	w.Seeds = w.Seeds[:0]
@@ -54,15 +53,11 @@ func runOMFWD(g *graph.Graph, alpha, rmaxF float64, w *ws.Workspace, frontier []
 		}
 	})
 	var st forward.State
-	st.Reserve, st.Residue = w.Reserve, w.Residue
-	st.Track = &w.Dirty
-	st.UseScratch(&w.InQueue, w.Queue)
-	aborted := forward.RunFrom(g, alpha, rmaxF, &st, w.Seeds, true, done, denseMass)
-	w.Queue = st.TakeQueue()
+	aborted := st.RunFrom(g, alpha, rmaxF, w, w.Seeds, true, done, denseMass)
 	return omInfo{
 		pushes:  st.Pushes,
 		sweeps:  st.Sweeps,
-		rsum:    st.ResidueSum(),
+		rsum:    w.SumResidue(),
 		aborted: aborted,
 	}
 }

@@ -207,7 +207,7 @@ func (s Solver) pool() *ws.Pool {
 const DefaultDenseSwitch = 0.125
 
 // pushConfig is the dense-sweep mass both push phases run under
-// (forward.RunFrom's denseMass; 0 = queue only). It is graph-dependent:
+// (forward.State.RunFrom's denseMass; 0 = queue only). It is graph-dependent:
 // the threshold is a fraction of this graph's edge count.
 func (s Solver) pushConfig(g *graph.Graph) int {
 	frac := s.DenseSwitch

@@ -24,7 +24,10 @@ type TopK struct {
 	Nodes []int32
 	// Scores is the final round's estimate for every node.
 	Scores []float64
-	// Level is the NScale the final round ran at.
+	// Level is the NScale the final round ran at, except after an exact
+	// round (one that left no residue, so it walked nothing and every later
+	// round would return the same scores): the loop stops there and Level
+	// is the target NScale, the level the last round would have reported.
 	Level float64
 	// Delta is the final round's significance threshold δ′ = δ/Level: every
 	// node with π > δ′ has |π̂−π| ≤ ε·π, with failure probability p_f. It
@@ -42,7 +45,9 @@ type TopK struct {
 // whose k-th estimate exceeds (1+ε)·δ′: an estimate that high proves
 // π > δ′, so every returned node carries the ε-relative bound. The last
 // round returns whether or not it certifies, as does a degraded round
-// (the deadline has fired; a later round cannot do better).
+// (the deadline has fired; a later round cannot do better) and an exact
+// one (r_sum = 0 after OMFWD: no walks, so a later round would redo the
+// same pushes to the same scores), which reports the target level.
 //
 // onRound, when non-nil, is called as each round ends, including one that
 // failed, with the round's start time, its statistics (zero on error) and
@@ -74,6 +79,11 @@ func (s Solver) TopK(ctx context.Context, g *graph.Graph, src int32, k int, p al
 			return tk, nil
 		}
 		tk.Delta = p.Delta / scale
+		if stats.RSumAfterOMFWD == 0 {
+			tk.Level = p.EffectiveNScale()
+			tk.Delta = p.Delta / tk.Level
+			return tk, nil
+		}
 		if round == topKRounds || scores[tk.Nodes[len(tk.Nodes)-1]] > (1+p.Epsilon)*tk.Delta {
 			return tk, nil
 		}

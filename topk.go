@@ -16,7 +16,9 @@ type TopK struct {
 	Ranked []Ranked
 	// Level is the precision level (NScale walk-budget scale) of the round
 	// that produced the ranking: target/8, /4, /2 or the target NScale
-	// itself. 0 for a custom-Compute engine.
+	// itself. A round that leaves no residue is exact (it walks nothing,
+	// and a later round would return the same scores), so it ends the loop
+	// and reports the target NScale. 0 for a custom-Compute engine.
 	Level float64
 	// Delta is the threshold δ′ = δ/Level the ranking is certified at:
 	// every node with π > Delta has |π̂−π| ≤ ε·π, with failure probability
@@ -43,7 +45,9 @@ type TopK struct {
 // ε-relative bound at δ′. On a clear ranking the first round certifies
 // and the query costs one eighth-budget ResAcc run; a source that reaches
 // fewer than k nodes never certifies and runs all four rounds, the last
-// at the full budget. The returned level is the final round's scale, and
+// at the full budget. A round whose pushes leave no residue (a dead-end
+// source, say) is exact and ends the loop at once. The returned level is
+// the final round's scale, or the target for an exact round, and
 // δ′ = p.Delta/level.
 //
 // This is an extension beyond the paper, which targets the full

@@ -152,6 +152,37 @@ func TestQueryTopKEscalatesToTarget(t *testing.T) {
 	}
 }
 
+// TestQueryTopKExactRoundEndsLoop: a dead-end source keeps its whole unit
+// of mass as reserve, so its first round leaves no residue and walks
+// nothing. That round is exact and ends the loop, reporting the target
+// level and its threshold as the fourth round would have.
+func TestQueryTopKExactRoundEndsLoop(t *testing.T) {
+	b := NewGraphBuilder(50)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 0)
+	for v := int32(3); v < 49; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g := b.MustBuild()
+	p := DefaultParams(g)
+	p.NScale = 0.5
+	rounds := countRounds(t, g)
+	tk, err := QueryTopKCtx(context.Background(), g, 49, 10, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rounds.Load(); got != 1 {
+		t.Fatalf("fired %d query events, want 1", got)
+	}
+	if tk.Level != p.NScale || tk.Delta != p.Delta/p.NScale {
+		t.Fatalf("level %v delta %v, want %v and %v", tk.Level, tk.Delta, p.NScale, p.Delta/p.NScale)
+	}
+	if tk.Ranked[0] != (Ranked{Node: 49, Score: 1}) {
+		t.Fatalf("want the source with all the mass first, got %+v", tk.Ranked[0])
+	}
+}
+
 // TestQueryTopKCertificateSound checks the certificate against power
 // iteration. Only the full-budget round may return uncertified. Every
 // node a certified answer returns must have π > δ′ and |π̂−π| ≤ ε·π;
