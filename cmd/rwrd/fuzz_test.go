@@ -24,6 +24,7 @@ func FuzzEdgesBody(f *testing.F) {
 		`{"add":[[0,0]]}`,
 		`{"add":[[0,9999]]}`,
 		`{"remove":[[-1,2]]}`,
+		`{"add":[[1,7]],"remove":[[0,9999]]}`,
 		`{"add":[[0,1],[1,2],[2,3]]}`,
 		`{"add":[[199,198]],"flush":true}`,
 	} {

@@ -66,6 +66,7 @@ func FuzzManagerApply(f *testing.F) {
 	f.Add(encodeBatches(fuzzBatch{add: [][2]int32{{0, 9}, {0, 10}, {0, 11}}}))
 	f.Add(encodeBatches(fuzzBatch{add: [][2]int32{{1, 7}}}, fuzzBatch{remove: [][2]int32{{1, 7}, {0, 1}}}))
 	f.Add(encodeBatches(fuzzBatch{remove: [][2]int32{{-1, 2}}}))
+	f.Add(encodeBatches(fuzzBatch{add: [][2]int32{{1, 7}}, remove: [][2]int32{{0, 99}}}))
 	const n = 16
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := NewManager(chain(t, n), func(*graph.Graph, func()) int { return 0 },
