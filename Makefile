@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck rwrdbench-test check chaos bench bench-json load loc
+.PHONY: build test race vet fmt-check staticcheck rwrdbench-test check chaos fuzz bench bench-json load loc
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,22 @@ check: fmt-check vet staticcheck race rwrdbench-test
 # panic-containment tests — under the race detector.
 chaos:
 	$(GO) test -race -tags faultinject ./...
+
+# fuzz smoke-runs each fuzz target in turn for FUZZTIME (go test -fuzz takes
+# one target in one package per run). The seed corpora already run with
+# every plain go test; this explores past them. A failing input is written
+# under the package's testdata/fuzz for replay.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = ./cmd/rwrd:FuzzEdgesBody ./cmd/rwrd:FuzzBatchBody \
+	./internal/live:FuzzManagerApply ./internal/graph:FuzzLoadEdgeList \
+	./internal/graph:FuzzReadBinary
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$fn ($$pkg) for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # bench runs every benchmark in the module once, so a refactor cannot break
 # a benchmark body (an ungated row included) without CI noticing. It times

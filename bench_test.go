@@ -12,9 +12,9 @@
 package resacc
 
 import (
+	"context"
 	"io"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"resacc/internal/algo"
@@ -235,9 +235,9 @@ func BenchmarkQueryPooledRepeat(b *testing.B) {
 
 // BenchmarkQueryTopK is the cold top-k read behind an rwrd cache miss:
 // webstan-s at scale 1 under rwrd's default parameters, k = 10, sources
-// from a fixed seeded rotation of uniform draws. rounds/op counts solver
-// rounds through a query hook; 1 means every query certified in its
-// first, eighth-budget round.
+// from a fixed seeded rotation of uniform draws. It times QueryTopK's
+// spine with an observer so rounds/op can count solver rounds; 1 means
+// every query certified in its first, eighth-budget round.
 func BenchmarkQueryTopK(b *testing.B) {
 	g := dataset.MustBuild("webstan-s", 1)
 	p := DefaultParams(g)
@@ -246,21 +246,18 @@ func BenchmarkQueryTopK(b *testing.B) {
 	for i := range srcs {
 		srcs[i] = int32(r.Intn(g.N()))
 	}
-	var rounds atomic.Int64
-	remove := RegisterQueryHook(func(ev QueryEvent) {
-		if ev.Graph == g {
-			rounds.Add(1)
-		}
-	})
-	defer remove()
+	rounds := 0
+	count := func(QueryEvent) { rounds++ }
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := QueryTopK(g, srcs[i%len(srcs)], 10, p); err != nil {
+		src := srcs[i%len(srcs)]
+		if _, err := queryTopKSolverOn(ctx, g, src, src, 10, p, core.Solver{}, count); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(rounds.Load())/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
 func BenchmarkCommunityDetection(b *testing.B) {

@@ -35,7 +35,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeOne(dec, &req); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad batch body: " + err.Error()})
 		return
 	}

@@ -27,6 +27,7 @@ func FuzzEdgesBody(f *testing.F) {
 		`{"add":[[1,7]],"remove":[[0,9999]]}`,
 		`{"add":[[0,1],[1,2],[2,3]]}`,
 		`{"add":[[199,198]],"flush":true}`,
+		`{"add":[[190,191]]}{"add":[[0,0]]} trailing`,
 	} {
 		f.Add(body)
 	}
@@ -63,6 +64,7 @@ func FuzzBatchBody(f *testing.F) {
 		`{"sources":[]}`,
 		`{"sources":[1],"bogus":true}`,
 		`{"sources":[1,2,3]}`,
+		`{"sources":[1]} garbage`,
 	} {
 		f.Add(body)
 	}
@@ -80,7 +82,7 @@ func FuzzBatchBody(f *testing.F) {
 		var req batchRequest
 		dec := json.NewDecoder(strings.NewReader(body))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeOne(dec, &req); err != nil {
 			t.Fatalf("body %q: status %d for a body that does not decode: %v", body, rec.Code, err)
 		}
 		var resp struct {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"resacc"
-	"resacc/internal/algo"
 	"resacc/internal/obs"
 	"resacc/internal/pressure"
 )
@@ -31,7 +30,8 @@ type serverOpts struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
 	// Engine tunes the query-serving engine every route goes through
-	// (Metrics is overwritten with the server's registry).
+	// (Metrics and OnQuery are overwritten with the server's registry and
+	// observer).
 	Engine resacc.EngineOptions
 	// QueryTimeout bounds each request's wait for an answer (≤ 0 = 30s).
 	QueryTimeout time.Duration
@@ -87,12 +87,12 @@ type server struct {
 	reqSeq   atomic.Int64
 	querySeq atomic.Int64
 	inflight *obs.Gauge
-	unhook   func()
 
-	// Hot-path series are resolved once at registration: the query hook and
-	// error paths fire per event, and a registry lookup there builds a
-	// variadic label slice per call — a measurable allocation on a path the
-	// engine otherwise keeps allocation-free.
+	// Hot-path series are resolved once at registration: the query
+	// observer and error paths fire per event, and a registry lookup there
+	// builds a variadic label slice per call — a measurable allocation on a
+	// path the engine otherwise keeps allocation-free.
+	walks, pushes *obs.Counter
 	phaseHist     map[string]*obs.Histogram
 	degradedBound *obs.Histogram
 	queriesByStat map[string]*obs.Counter
@@ -138,6 +138,7 @@ func newServer(g *resacc.Graph, p resacc.Params, opts serverOpts) *server {
 	}
 	s.registerMetrics()
 	opts.Engine.Metrics = s.reg
+	opts.Engine.OnQuery = s.observeQuery
 	s.engine = resacc.NewEngine(g, p, opts.Engine)
 	if opts.Live {
 		opts.LiveOptions.Metrics = s.reg
@@ -150,7 +151,6 @@ func newServer(g *resacc.Graph, p resacc.Params, opts serverOpts) *server {
 			s.live = lv
 		}
 	}
-	s.unhook = resacc.RegisterQueryHook(s.observeQuery)
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
@@ -186,12 +186,10 @@ func (s *server) registerMetrics() {
 		func() float64 { return float64(s.servedGraph().M()) })
 	s.reg.GaugeFunc("rwr_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
-	s.reg.CounterFunc("rwr_walks_total",
-		"Process-wide random walks simulated by any solver.",
-		func() float64 { return float64(algo.TotalWalks()) })
-	s.reg.CounterFunc("rwr_pushes_total",
-		"Process-wide forward-push operations by any solver.",
-		func() float64 { return float64(algo.TotalPushes()) })
+	s.walks = s.reg.Counter("rwr_walks_total",
+		"Random walks simulated by this server's solver rounds.")
+	s.pushes = s.reg.Counter("rwr_pushes_total",
+		"Forward-push operations performed by this server's solver rounds.")
 	s.phaseHist = make(map[string]*obs.Histogram)
 	for _, phase := range []string{"total", "hopfwd", "omfwd", "remedy"} {
 		s.phaseHist[phase] = s.reg.Histogram("rwr_query_duration_seconds",
@@ -238,23 +236,10 @@ func (s *server) servedGraph() *resacc.Graph {
 	return s.g
 }
 
-// ownsGraph reports whether a query event's graph belongs to this server:
-// the boot graph, the currently served snapshot, or — with live edits —
-// any superseded snapshot still pinned by an in-flight query.
-func (s *server) ownsGraph(g *resacc.Graph) bool {
-	if g == s.g || g == s.servedGraph() {
-		return true
-	}
-	return s.live != nil && s.live.Owns(g)
-}
-
-// observeQuery is the resacc.QueryHook: it turns each completed query on
-// this server's graph into phase histograms, counters and a ring-buffered
-// trace.
+// observeQuery is the engine's OnQuery observer: it turns each of this
+// server's solver rounds into phase histograms, counters and a
+// ring-buffered trace.
 func (s *server) observeQuery(ev resacc.QueryEvent) {
-	if !s.ownsGraph(ev.Graph) {
-		return // another server/test in this process
-	}
 	status := "ok"
 	if ev.Err != nil {
 		status = "error"
@@ -266,6 +251,8 @@ func (s *server) observeQuery(ev resacc.QueryEvent) {
 		s.phaseHist["omfwd"].Observe(ev.Stats.OMFWD.Seconds())
 		s.phaseHist["remedy"].Observe(ev.Stats.Remedy.Seconds())
 		s.walksHist.Observe(float64(ev.Stats.Walks))
+		s.walks.Add(float64(ev.Stats.Walks))
+		s.pushes.Add(float64(ev.Stats.HopPushes + ev.Stats.OMFWDPushes))
 		if ev.Stats.Degraded {
 			if c := s.queryCancels[ev.Stats.DegradedPhase.String()]; c != nil {
 				c.Inc()
@@ -280,12 +267,9 @@ func (s *server) observeQuery(ev resacc.QueryEvent) {
 		"dur_ms", float64(ev.Duration.Microseconds())/1000, "stats", ev.Stats.String())
 }
 
-// Close unregisters the query hook and stops the engine's worker pool
+// Close detaches the live write path and stops the engine's worker pool
 // after draining admitted work.
 func (s *server) Close() {
-	if s.unhook != nil {
-		s.unhook()
-	}
 	if s.live != nil {
 		if err := s.live.Close(); err != nil {
 			s.log.Error("live write path close failed", "err", err)
@@ -548,8 +532,7 @@ func (s *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		Remove [][2]int32 `json:"remove"`
 		Flush  bool       `json:"flush"`
 	}
-	body := http.MaxBytesReader(w, r.Body, 1<<22)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeOne(json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22)), &req); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]string{
 			"error": "invalid JSON body: " + err.Error()})
 		return
@@ -662,6 +645,19 @@ func (s *server) nodeParam(r *http.Request, name string) (int32, error) {
 		return 0, fmt.Errorf("node %d out of range [0,%d)", v, n)
 	}
 	return int32(v), nil
+}
+
+// decodeOne decodes the one JSON value a request body must hold into v.
+// Anything after it but whitespace is an error, so a body carrying a
+// second value is refused whole instead of being half read.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 // writeJSON writes v as the response body. Encoding failures after the

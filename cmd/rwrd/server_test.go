@@ -222,6 +222,34 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 }
 
+// TestServersCountOnlyTheirOwnQueries: two servers over one graph in one
+// process each observe only their own engine's solver rounds, so a query
+// sent to one leaves the other's counters, walk tally and trace ring
+// untouched.
+func TestServersCountOnlyTheirOwnQueries(t *testing.T) {
+	g := resacc.GenerateBarabasiAlbert(200, 3, 7)
+	a := newServer(g, resacc.DefaultParams(g), serverOpts{Log: discardLogger()})
+	t.Cleanup(a.Close)
+	b := newServer(g, resacc.DefaultParams(g), serverOpts{Log: discardLogger()})
+	t.Cleanup(b.Close)
+
+	if rec, body := get(t, b, "/v1/query?source=3"); rec.Code != http.StatusOK {
+		t.Fatalf("query to b: %d %v", rec.Code, body)
+	}
+	observed := func(s *server) (queries float64, traces int, walked bool) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return s.queriesByStat["ok"].Value() + s.queriesByStat["error"].Value(),
+			len(s.traces.Snapshot()), !strings.Contains(rec.Body.String(), "\nrwr_walks_total 0\n")
+	}
+	if q, tr, walked := observed(a); q != 0 || tr != 0 || walked {
+		t.Fatalf("a counted %v queries and %d traces of a query sent to b (walks counted: %v)", q, tr, walked)
+	}
+	if q, tr, walked := observed(b); q == 0 || tr != int(q) || !walked {
+		t.Fatalf("b counted %v queries and %d traces of its own query (walks counted: %v)", q, tr, walked)
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	s := testServer(t)
 	req := httptest.NewRequest(http.MethodPost, "/v1/query?source=1", nil)
@@ -362,6 +390,7 @@ func TestBatchValidation(t *testing.T) {
 	s := testServer(t)
 	for _, body := range []string{
 		``, `not json`, `{"sources":[]}`, `{"sources":[1],"bogus":true}`,
+		`{"sources":[1]} garbage`, `{"sources":[1]}]`, `{"sources":[1]}{"sources":[2]}`,
 	} {
 		rec, _ := postJSON(t, s, "/v1/batch", body)
 		if rec.Code != http.StatusBadRequest {
@@ -520,8 +549,9 @@ func TestEdgesEndpointAppliesAndFlushes(t *testing.T) {
 		t.Fatalf("pending_adds=%v, want 1", body["pending_adds"])
 	}
 
-	// Flush publishes; re-adding the same edge afterwards is a noop.
-	rec, body = postJSON(t, s, "/v1/edges", `{"flush":true}`)
+	// Flush publishes; re-adding the same edge afterwards is a noop. The
+	// newline json.Encoder ends a body with is not trailing data.
+	rec, body = postJSON(t, s, "/v1/edges", "{\"flush\":true}\n")
 	if rec.Code != http.StatusOK || !body["swapped"].(bool) {
 		t.Fatalf("flush: %d %v", rec.Code, body)
 	}
@@ -581,6 +611,7 @@ func TestEdgesEndpointValidation(t *testing.T) {
 		{`{"add":[[0,9999]]}`, http.StatusBadRequest},  // out of range
 		{`{"remove":[[-1,2]]}`, http.StatusBadRequest}, // negative node
 		{`{"add":[[0,1],[1,2],[2,3]]}`, http.StatusRequestEntityTooLarge},
+		{`{"add":[[190,191]]}{"add":[[0,0]]} trailing`, http.StatusBadRequest},
 	} {
 		rec, body := postJSON(t, s, "/v1/edges", tc.body)
 		if rec.Code != tc.code {

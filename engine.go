@@ -65,9 +65,9 @@ type EngineOptions struct {
 	// improves push and walk cache locality on skewed graphs. The
 	// relabeled graph is an internal artifact of the snapshot: callers
 	// keep using original node ids everywhere — query sources, ranked
-	// results, score vectors, edge edits, Graph(), and query-hook events
-	// all stay in the caller's id space, with the engine translating at
-	// the serving boundary. Answers are equally valid but not
+	// results, score vectors, edge edits, Graph(), and OnQuery events all
+	// stay in the caller's id space, with the engine translating at the
+	// serving boundary. Answers are equally valid but not
 	// bit-identical to an unrelabeled engine's (float summation order and
 	// walk RNG streams follow the internal labeling). A custom Compute
 	// receives the relabeled graph and a translated source; its returned
@@ -81,6 +81,13 @@ type EngineOptions struct {
 	// Compute overrides the solver (nil = Query, i.e. ResAcc). Top-k and
 	// pair answers derive from the custom full result when set.
 	Compute ComputeFunc
+	// OnQuery, when non-nil, observes every ResAcc computation this engine
+	// runs: one event per full query and one per top-k solver round
+	// (failed rounds included), with the source in the caller's id space.
+	// It runs synchronously on the computing goroutine and must be fast
+	// and concurrency-safe. Cache hits, singleflight joins, pair queries
+	// and a custom Compute fire nothing.
+	OnQuery QueryHook
 }
 
 // Engine is the query-serving layer of the package: a result cache keyed
@@ -118,6 +125,7 @@ type Engine struct {
 	monitor *pressure.Monitor
 	compute ComputeFunc
 	custom  bool
+	onQuery QueryHook
 	// liveOn enforces at most one attached live write path (StartLive).
 	liveOn atomic.Bool
 
@@ -159,7 +167,7 @@ func (en *engineEntry) bytes() int64 {
 // snapshot is published and immutable afterwards.
 type snapMeta struct {
 	// orig is the caller-id-space graph the snapshot was relabeled from.
-	// Query events, Graph() and the live write path all speak orig.
+	// Graph() and the live write path speak orig.
 	orig *Graph
 	// toOld/toNew translate between the snapshot's internal ids and the
 	// caller's (graph.RelabelByDegree).
@@ -186,16 +194,6 @@ func (e *Engine) newSnapshot(g *Graph, gen uint64, onRetire func()) *live.Snapsh
 	s := live.NewSnapshot(rg, gen, onRetire)
 	s.SetDerived(&snapMeta{orig: g, toOld: toOld, toNew: toNew})
 	return s
-}
-
-// eventGraph is the graph identity a snapshot's queries are reported
-// against: the caller-id-space original when the snapshot is relabeled,
-// the snapshot's own graph otherwise.
-func (e *Engine) eventGraph(s *live.Snapshot) *Graph {
-	if m := metaOf(s); m != nil {
-		return m.orig
-	}
-	return s.Graph()
 }
 
 // ingressSource translates a caller-space source id into the snapshot's
@@ -233,6 +231,7 @@ func NewEngine(g *Graph, p Params, opts EngineOptions) *Engine {
 		fp:      serve.Fingerprint(p),
 		compute: opts.Compute,
 		custom:  opts.Compute != nil,
+		onQuery: opts.OnQuery,
 		wsPool:  ws.NewPool(),
 		relabel: opts.Relabel,
 	}
@@ -325,9 +324,15 @@ func (e *Engine) Close() { e.inner.Close() }
 
 // Graph returns the current graph in the caller's id space. With
 // EngineOptions.Relabel the engine internally serves a degree-relabeled
-// copy; that copy never escapes — this accessor, query results and hook
-// events all speak original ids.
-func (e *Engine) Graph() *Graph { return e.eventGraph(e.snap.Load()) }
+// copy; that copy never escapes — this accessor, query results and
+// OnQuery events all speak original ids.
+func (e *Engine) Graph() *Graph {
+	s := e.snap.Load()
+	if m := metaOf(s); m != nil {
+		return m.orig
+	}
+	return s.Graph()
+}
 
 // Params returns the engine's fixed query parameters.
 func (e *Engine) Params() Params { return e.params }
@@ -390,7 +395,7 @@ func (e *Engine) computeFull(fctx context.Context, snap *live.Snapshot, source i
 		return nil, err
 	}
 	if !e.custom {
-		return querySolverOn(fctx, g, e.eventGraph(snap), src, source, e.params, e.snapSolver(snap))
+		return querySolverOn(fctx, g, src, source, e.params, e.snapSolver(snap), e.onQuery)
 	}
 	res, err := e.compute(fctx, g, src, e.params)
 	if err != nil {
@@ -438,7 +443,7 @@ func (e *Engine) QueryTopK(ctx context.Context, source int32, k int) (TopK, erro
 				// The snapshot solver's ScoreRemap translates each round's
 				// scores before ranking, so the ranked node ids are already
 				// caller-space.
-				tk, err := queryTopKSolverOn(fctx, g, e.eventGraph(snap), src, source, k, e.params, e.snapSolver(snap))
+				tk, err := queryTopKSolverOn(fctx, g, src, source, k, e.params, e.snapSolver(snap), e.onQuery)
 				if err != nil {
 					return nil, 0, err
 				}

@@ -2,6 +2,8 @@ package resacc
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,29 +15,24 @@ import (
 // still satisfies the Definition 1 guarantee against ground truth computed
 // on the ORIGINAL graph — which proves the boundary translation end to end
 // (a wrong permutation anywhere would scramble the scores far past ε) — and
-// query-hook events keep reporting the original graph and source.
+// OnQuery events keep reporting the original source ids.
 func TestEngineRelabelMeetsGuarantee(t *testing.T) {
 	g := GenerateBarabasiAlbert(300, 3, 11)
 	p := DefaultParams(g)
-	var evGraphOK, evSourceOK bool
-	wantSrc := int32(5)
-	unhook := RegisterQueryHook(func(ev QueryEvent) {
-		if ev.Graph == g {
-			evGraphOK = true
-		}
-		if ev.Source == wantSrc {
-			evSourceOK = true
-		}
-	})
-	defer unhook()
-
-	e := NewEngine(g, p, EngineOptions{Relabel: true})
+	srcs := []int32{0, 5, int32(g.N() / 2)}
+	var mu sync.Mutex
+	var evSources []int32
+	e := NewEngine(g, p, EngineOptions{Relabel: true, OnQuery: func(ev QueryEvent) {
+		mu.Lock()
+		evSources = append(evSources, ev.Source)
+		mu.Unlock()
+	}})
 	defer e.Close()
 	if e.Graph() != g {
 		t.Fatal("Graph() leaked the relabeled internal graph")
 	}
 	ctx := context.Background()
-	for _, src := range []int32{0, wantSrc, int32(g.N() / 2)} {
+	for _, src := range srcs {
 		res, err := e.Query(ctx, src)
 		if err != nil {
 			t.Fatal(err)
@@ -51,8 +48,10 @@ func TestEngineRelabelMeetsGuarantee(t *testing.T) {
 			t.Fatalf("src=%d: max rel err %v > ε=%v", src, rel, p.Epsilon)
 		}
 	}
-	if !evGraphOK || !evSourceOK {
-		t.Fatalf("query hooks left internal id space: graph ok=%v source ok=%v", evGraphOK, evSourceOK)
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(evSources, srcs) {
+		t.Fatalf("OnQuery sources %v, want the caller's %v", evSources, srcs)
 	}
 }
 

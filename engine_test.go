@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"resacc/internal/algo"
 )
 
 func testEngine(t *testing.T, opts EngineOptions) (*Engine, *Graph) {
@@ -20,26 +18,35 @@ func testEngine(t *testing.T, opts EngineOptions) (*Engine, *Graph) {
 	return e, g
 }
 
-// workCounters snapshots the process-wide walk/push tallies so tests can
-// assert whether ResAcc actually ran.
-func workCounters() (walks, pushes int64) {
-	return algo.TotalWalks(), algo.TotalPushes()
+// workCounters installs an OnQuery observer in opts that tallies the walks
+// and pushes of every solver round the engine runs, and returns a function
+// that snapshots the tallies, so tests can assert whether ResAcc actually
+// ran on that engine.
+func workCounters(opts *EngineOptions) func() (walks, pushes int64) {
+	var walks, pushes atomic.Int64
+	opts.OnQuery = func(ev QueryEvent) {
+		walks.Add(ev.Stats.Walks)
+		pushes.Add(ev.Stats.HopPushes + ev.Stats.OMFWDPushes)
+	}
+	return func() (int64, int64) { return walks.Load(), pushes.Load() }
 }
 
 func TestEngineCacheHitSkipsComputation(t *testing.T) {
-	e, _ := testEngine(t, EngineOptions{})
+	opts := EngineOptions{}
+	work := workCounters(&opts)
+	e, _ := testEngine(t, opts)
 	ctx := context.Background()
 
 	res1, err := e.Query(ctx, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walks, pushes := workCounters()
+	walks, pushes := work()
 	res2, err := e.Query(ctx, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, p2 := workCounters()
+	w2, p2 := work()
 	if w2 != walks || p2 != pushes {
 		t.Fatalf("cache hit did work: walks %d->%d, pushes %d->%d", walks, w2, pushes, p2)
 	}
@@ -53,15 +60,17 @@ func TestEngineCacheHitSkipsComputation(t *testing.T) {
 }
 
 func TestEngineSingleflightCollapsesDuplicates(t *testing.T) {
-	e, _ := testEngine(t, EngineOptions{Workers: 2, QueueDepth: 64})
+	opts := EngineOptions{Workers: 2, QueueDepth: 64}
+	work := workCounters(&opts)
+	e, _ := testEngine(t, opts)
 	ctx := context.Background()
 
 	// Cost of one computation, measured on a separate cold source.
-	w0, _ := workCounters()
+	w0, _ := work()
 	if _, err := e.Query(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
-	w1, _ := workCounters()
+	w1, _ := work()
 	oneQuery := w1 - w0
 	if oneQuery == 0 {
 		t.Fatal("expected a real query to simulate walks")
@@ -85,7 +94,7 @@ func TestEngineSingleflightCollapsesDuplicates(t *testing.T) {
 	if err, ok := firstErr.Load().(error); ok {
 		t.Fatal(err)
 	}
-	w2, _ := workCounters()
+	w2, _ := work()
 	spent := w2 - w1
 	// Timing may let a caller miss the flight and recompute once more, but
 	// anything close to callers× means dedup is broken.
@@ -185,7 +194,9 @@ func TestEngineInvalidationAfterDynamicRebuild(t *testing.T) {
 }
 
 func TestEngineQueryTopK(t *testing.T) {
-	e, g := testEngine(t, EngineOptions{})
+	opts := EngineOptions{}
+	work := workCounters(&opts)
+	e, g := testEngine(t, opts)
 	ctx := context.Background()
 
 	top, err := e.QueryTopK(ctx, 3, 5)
@@ -220,12 +231,12 @@ func TestEngineQueryTopK(t *testing.T) {
 	}
 	// Cached: second identical call does no walk/push work and returns
 	// the miss's certificate.
-	w, p := workCounters()
+	w, p := work()
 	hit, err := e.QueryTopK(ctx, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w2, p2 := workCounters(); w2 != w || p2 != p {
+	if w2, p2 := work(); w2 != w || p2 != p {
 		t.Fatal("top-k cache hit did work")
 	}
 	if hit.Level != top.Level || hit.Delta != top.Delta {

@@ -1,6 +1,7 @@
 package resacc
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,25 +13,27 @@ func TestQueryHookFires(t *testing.T) {
 	g := GenerateBarabasiAlbert(100, 3, 1)
 	var events []QueryEvent
 	var mu sync.Mutex
-	remove := RegisterQueryHook(func(ev QueryEvent) {
+	e := NewEngine(g, DefaultParams(g), EngineOptions{OnQuery: func(ev QueryEvent) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
-	})
-	defer remove()
+	}})
+	defer e.Close()
 
-	p := DefaultParams(g)
-	res, err := Query(g, 5, p)
+	res, err := e.Query(context.Background(), 5)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(events) != 1 {
-		t.Fatalf("hook fired %d times, want 1", len(events))
+		t.Fatalf("observer fired %d times for a miss and a hit, want 1", len(events))
 	}
 	ev := events[0]
-	if ev.Graph != g || ev.Source != 5 || ev.Err != nil {
+	if ev.Source != 5 || ev.Err != nil {
 		t.Fatalf("event: %+v", ev)
 	}
 	if ev.Duration < ev.Stats.Total() {
@@ -44,56 +47,69 @@ func TestQueryHookFires(t *testing.T) {
 	}
 }
 
+// TestQueryHookErrorAndRemove: a failed computation reaches the engine's
+// observer with its error, and queries the engine does not run — on a
+// second engine over the same graph, or through the package-level
+// facade — never do.
 func TestQueryHookErrorAndRemove(t *testing.T) {
 	g := GenerateBarabasiAlbert(50, 2, 1)
 	var calls atomic.Int64
 	var lastErr atomic.Value
-	remove := RegisterQueryHook(func(ev QueryEvent) {
-		if ev.Graph != g {
-			return
-		}
+	e := NewEngine(g, DefaultParams(g), EngineOptions{OnQuery: func(ev QueryEvent) {
 		calls.Add(1)
 		if ev.Err != nil {
 			lastErr.Store(ev.Err)
 		}
-	})
+	}})
+	defer e.Close()
+	ctx := context.Background()
 
-	if _, err := Query(g, 9999, DefaultParams(g)); err == nil {
+	if _, err := e.Query(ctx, 9999); err == nil {
 		t.Fatal("out-of-range source should fail")
 	}
 	if calls.Load() != 1 || lastErr.Load() == nil {
 		t.Fatalf("error event not delivered: calls=%d", calls.Load())
 	}
 
-	remove()
-	remove() // double-remove is a no-op
+	var otherCalls atomic.Int64
+	other := NewEngine(g, DefaultParams(g), EngineOptions{OnQuery: func(QueryEvent) { otherCalls.Add(1) }})
+	defer other.Close()
+	if _, err := other.Query(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.QueryTopK(ctx, 2, 5); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Query(g, 1, DefaultParams(g)); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := QueryTopK(g, 2, 5, DefaultParams(g)); err != nil {
+		t.Fatal(err)
+	}
 	if calls.Load() != 1 {
-		t.Fatal("hook fired after removal")
+		t.Fatalf("first engine observed %d events, want only its own 1", calls.Load())
+	}
+	if otherCalls.Load() < 2 {
+		t.Fatalf("second engine observed %d events, want at least 2", otherCalls.Load())
 	}
 }
 
 func TestQueryHookMultiAndTopK(t *testing.T) {
 	g := GenerateBarabasiAlbert(80, 2, 3)
 	var calls atomic.Int64
-	remove := RegisterQueryHook(func(ev QueryEvent) {
-		if ev.Graph == g {
-			calls.Add(1)
-		}
-	})
-	defer remove()
+	e := NewEngine(g, DefaultParams(g), EngineOptions{OnQuery: func(QueryEvent) { calls.Add(1) }})
+	defer e.Close()
+	ctx := context.Background()
 
-	if _, err := QueryMulti(g, []int32{1, 2, 3}, DefaultParams(g)); err != nil {
-		t.Fatal(err)
+	if _, errs := e.QueryBatch(ctx, []int32{1, 2, 3}); errs[0] != nil || errs[1] != nil || errs[2] != nil {
+		t.Fatal(errs)
 	}
 	if calls.Load() != 3 {
-		t.Fatalf("QueryMulti fired %d events, want 3", calls.Load())
+		t.Fatalf("QueryBatch fired %d events, want 3", calls.Load())
 	}
 
 	calls.Store(0)
-	if _, _, err := QueryTopK(g, 1, 5, DefaultParams(g)); err != nil {
+	if _, err := e.QueryTopK(ctx, 1, 5); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() < 1 {

@@ -91,7 +91,7 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, w *ws.Workspace
 				if restrict != nil && !restrict.Has(v) {
 					continue
 				}
-				if satisfies(g, rmax, rv, v) && qm.Mark(v) {
+				if satisfies(g, rmax, rv, v) && qm.Add(v) {
 					w.Queue = append(w.Queue, v)
 					pending += cost(g, v)
 				}
@@ -144,7 +144,7 @@ func (st *State) drainDense(g *graph.Graph, alpha, rmax float64, w *ws.Workspace
 			}
 			// satisfies(g, rmax, residue[u], u), reading the degree once
 			// for both the threshold and pending: rmax·1 is exactly rmax.
-			if c := cost(g, u); residue[u] >= rmax*float64(c) && qm.Mark(u) {
+			if c := cost(g, u); residue[u] >= rmax*float64(c) && qm.Add(u) {
 				w.Queue = append(w.Queue, u)
 				pending += c
 			}

@@ -109,7 +109,7 @@ func (st *State) seed(g *graph.Graph, rmax float64, w *ws.Workspace, seeds []int
 		if !force {
 			ok = satisfies(g, rmax, r, v)
 		}
-		if ok && st.mayPush(v) && w.InQueue.Mark(v) {
+		if ok && st.mayPush(v) && w.InQueue.Add(v) {
 			w.Queue = append(w.Queue, v)
 		}
 	}

@@ -21,7 +21,7 @@ func RunPrioritized(g *graph.Graph, alpha, rmax float64, w *ws.Workspace, s int3
 	w.InQueue.Clear()
 	pq := &residueHeap{g: g, residue: w.Residue, items: w.Queue[:0]}
 	if satisfies(g, rmax, 1, s) {
-		w.InQueue.Mark(s)
+		w.InQueue.Add(s)
 		pq.items = append(pq.items, s)
 	}
 	var pushes int64
@@ -45,7 +45,7 @@ func RunPrioritized(g *graph.Graph, alpha, rmax float64, w *ws.Workspace, s int3
 		for _, u := range g.Out(v) {
 			w.AddResidue(u, share)
 			if !w.InQueue.Has(u) && satisfies(g, rmax, w.Residue[u], u) {
-				w.InQueue.Mark(u)
+				w.InQueue.Add(u)
 				heap.Push(pq, u)
 			}
 		}

@@ -139,7 +139,6 @@ func (s Solver) SingleSource(g *graph.Graph, src int32, p algo.Params) ([]float6
 	reserve := make([]float64, g.N())
 	residue := make([]float64, g.N())
 	residue[src] = 1
-	st, _ := Sweep(g, p.Alpha, rmax, reserve, residue, nil, -1, 0, nil)
-	algo.AddPushes(st.Pushes)
+	Sweep(g, p.Alpha, rmax, reserve, residue, nil, -1, 0, nil)
 	return reserve, nil
 }

@@ -113,7 +113,6 @@ func Remedy(g *graph.Graph, p Params, w *ws.Workspace, done <-chan struct{}) Rem
 		}
 		st.Remaining = max(rest, 0)
 	}
-	AddWalks(st.Walks)
 	return st
 }
 

@@ -47,5 +47,4 @@ func (w *WalkCounter) Run(v int32, k int) {
 		w.Count[t]++
 	}
 	w.Total += int64(k)
-	AddWalks(int64(k))
 }

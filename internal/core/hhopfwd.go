@@ -99,7 +99,7 @@ func runHHopFWD(g *graph.Graph, src int32, alpha, rmaxHop float64, h int, wholeG
 		w.Order, w.Start = layers.Order, layers.Start
 		within = layers.Within(h)
 		for _, v := range within {
-			w.InSub.Mark(v)
+			w.InSub.Add(v)
 		}
 		info.subSize = len(within)
 		info.frontier = layers.Layer(h + 1)
@@ -202,7 +202,7 @@ func runRestrictedForward(g *graph.Graph, src int32, alpha, rmaxHop float64, h i
 	w.Order, w.Start = layers.Order, layers.Start
 	within := layers.Within(h)
 	for _, v := range within {
-		w.InSub.Mark(v)
+		w.InSub.Add(v)
 	}
 	info.subSize = len(within)
 	info.frontier = layers.Layer(h + 1)

@@ -312,7 +312,6 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 		stats.Degraded = true
 		stats.DegradedPhase = PhaseHopFWD
 		stats.ResidualBound = stats.RSumAfterHop
-		algo.AddPushes(stats.HopPushes)
 		return stats
 	}
 
@@ -329,7 +328,6 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 			stats.Degraded = true
 			stats.DegradedPhase = PhaseOMFWD
 			stats.ResidualBound = stats.RSumAfterOMFWD
-			algo.AddPushes(stats.HopPushes + stats.OMFWDPushes)
 			return stats
 		}
 	}
@@ -345,6 +343,5 @@ func (s Solver) QueryWSCtx(ctx context.Context, g *graph.Graph, src int32, p alg
 		stats.DegradedPhase = PhaseRemedy
 		stats.ResidualBound = rs.Remaining
 	}
-	algo.AddPushes(stats.HopPushes + stats.OMFWDPushes)
 	return stats
 }

@@ -93,7 +93,7 @@ func BFSLayersScratch(g *Graph, s int32, maxDepth int, seen *ws.Marks, order []i
 	l := Layers{Source: s}
 	l.Order = append(order[:0], s)
 	l.Start = append(start[:0], 0, 1)
-	seen.Mark(s)
+	seen.Add(s)
 	head := 0
 	depth := 0
 	for depth < maxDepth {
@@ -104,7 +104,7 @@ func BFSLayersScratch(g *Graph, s int32, maxDepth int, seen *ws.Marks, order []i
 		for ; head < tail; head++ {
 			u := l.Order[head]
 			for _, v := range g.Out(u) {
-				if seen.Mark(v) {
+				if seen.Add(v) {
 					l.Order = append(l.Order, v)
 				}
 			}

@@ -95,15 +95,11 @@ func ReadBinaryMapped(r io.Reader) (g *Graph, toOld []int32, err error) {
 	if n < 0 || m < 0 || n > maxReasonable || m > maxReasonable {
 		return nil, nil, fmt.Errorf("graph: implausible header n=%d m=%d", n, m)
 	}
-	offs := make([]int64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, offs); err != nil {
+	offs, err := readChunked[int64](br, n+1)
+	if err != nil {
 		return nil, nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	g = &Graph{
-		n:      int(n),
-		outAdj: make([]int32, m),
-		outOff: make([]int, n+1),
-	}
+	g = &Graph{n: int(n), outOff: make([]int, n+1)}
 	prev := int64(0)
 	for i, o := range offs {
 		if o < prev || o > m {
@@ -115,7 +111,7 @@ func ReadBinaryMapped(r io.Reader) (g *Graph, toOld []int32, err error) {
 	if offs[n] != m {
 		return nil, nil, fmt.Errorf("graph: final offset %d != m %d", offs[n], m)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.outAdj); err != nil {
+	if g.outAdj, err = readChunked[int32](br, m); err != nil {
 		return nil, nil, fmt.Errorf("graph: reading adjacency: %w", err)
 	}
 	for _, v := range g.outAdj {
@@ -124,8 +120,7 @@ func ReadBinaryMapped(r io.Reader) (g *Graph, toOld []int32, err error) {
 		}
 	}
 	if mapped {
-		toOld = make([]int32, n)
-		if err := binary.Read(br, binary.LittleEndian, toOld); err != nil {
+		if toOld, err = readChunked[int32](br, n); err != nil {
 			return nil, nil, fmt.Errorf("graph: reading relabel mapping: %w", err)
 		}
 		seen := make([]bool, n)
@@ -154,4 +149,20 @@ func ReadBinaryMapped(r io.Reader) (g *Graph, toOld []int32, err error) {
 		}
 	}
 	return g, toOld, nil
+}
+
+// readChunked reads count little-endian values into a slice that grows
+// with the data actually read, so a header that claims more entries than
+// the input holds fails at EOF instead of allocating its claim up front.
+func readChunked[T int32 | int64](r io.Reader, count int64) ([]T, error) {
+	const chunk = 1 << 16
+	out := make([]T, 0, min(count, chunk))
+	for int64(len(out)) < count {
+		start := len(out)
+		out = append(out, make([]T, min(count-int64(start), chunk))...)
+		if err := binary.Read(r, binary.LittleEndian, out[start:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -158,6 +158,28 @@ func TestLoadEdgeListUndirected(t *testing.T) {
 	}
 }
 
+// TestLoadEdgeListRejectsSparseIDs: one edge naming node 2·10^9 would
+// need gigabytes as dense ids, so it is refused unless remapped; a sparse
+// id space under 2^20 still loads.
+func TestLoadEdgeListRejectsSparseIDs(t *testing.T) {
+	if _, err := LoadEdgeList(strings.NewReader("2000000000 0\n"), LoadOptions{}); err == nil || !strings.Contains(err.Error(), "Remap") {
+		t.Fatalf("sparse dense ids: err = %v, want a Remap hint", err)
+	}
+	g, err := LoadEdgeList(strings.NewReader("2000000000 0\n"), LoadOptions{Remap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 2 {
+		t.Fatalf("remapped n=%d, want 2", g.N())
+	}
+	if g, err = LoadEdgeList(strings.NewReader("999999 0\n"), LoadOptions{}); err != nil {
+		t.Fatalf("id space under the floor: %v", err)
+	}
+	if g.N() != 1000000 {
+		t.Fatalf("n=%d, want 10^6", g.N())
+	}
+}
+
 func TestLoadEdgeListRemap(t *testing.T) {
 	g, err := LoadEdgeList(strings.NewReader("100 200\n200 300\n"), LoadOptions{Remap: true})
 	if err != nil {

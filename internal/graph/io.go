@@ -21,7 +21,8 @@ type LoadOptions struct {
 // LoadEdgeList parses a whitespace-separated edge list ("u v" per line).
 // Lines that are empty or start with '#' or '%' are skipped. Without
 // opts.Remap, node ids must be non-negative and the node count is
-// 1 + the maximum id seen.
+// 1 + the maximum id seen; an id space over 2^20 that is more than 64
+// times the edge count is refused as too sparse for dense ids.
 func LoadEdgeList(r io.Reader, opts LoadOptions) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -81,6 +82,11 @@ func LoadEdgeList(r io.Reader, opts LoadOptions) (*Graph, error) {
 	} else {
 		if maxID >= 1<<31 {
 			return nil, fmt.Errorf("graph: node id %d exceeds int32 range; use Remap", maxID)
+		}
+		// Dense ids cost memory for every id up to the largest, so a few
+		// bytes naming one huge id would otherwise demand gigabytes.
+		if maxID >= 1<<20 && maxID >= 64*int64(len(edges)) {
+			return nil, fmt.Errorf("graph: node id %d with only %d edges is too sparse for dense ids; use Remap", maxID, len(edges))
 		}
 		id = func(raw int64) int32 { return int32(raw) }
 		n = int(maxID + 1)

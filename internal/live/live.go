@@ -98,13 +98,6 @@ type Manager struct {
 	epoch        uint64 // successful swaps
 	closed       bool
 
-	// ownMu guards owned: every graph this manager has published (plus
-	// the one it adopted at start) that has not yet retired. The serving
-	// layer's per-query observers use it to recognise events from any
-	// still-live snapshot.
-	ownMu sync.Mutex
-	owned map[*graph.Graph]struct{}
-
 	added, removed, noops atomic.Uint64
 	swaps, swapFailures   atomic.Uint64
 	invalidated           atomic.Uint64
@@ -130,11 +123,10 @@ func NewManager(base *graph.Graph, swap SwapFunc, cfg Config) *Manager {
 		cfg.MaxBacklog = 4 * cfg.MaxPending
 	}
 	m := &Manager{
-		cfg:   cfg,
-		swap:  swap,
-		dyn:   graph.NewDynamic(base),
-		base:  base,
-		owned: map[*graph.Graph]struct{}{base: {}},
+		cfg:  cfg,
+		swap: swap,
+		dyn:  graph.NewDynamic(base),
+		base: base,
 	}
 	if reg := cfg.Metrics; reg != nil {
 		m.mSwaps = reg.Counter("rwr_graph_swaps_total",
@@ -337,31 +329,7 @@ func (m *Manager) swapLocked() (err error) {
 	// snapshot serving and the edit backlog intact.
 	faultinject.Hit("live.swap")
 
-	// Register ownership before publishing so the retire hook — and any
-	// observer attributing queries to the snapshot the instant it becomes
-	// current — always finds the entry. If the swap callback panics the
-	// snapshot was never published, so the deferred rollback removes the
-	// entry again; otherwise a failed retry per attempt would leak one
-	// ownership record each, and Owns(g) would report an unpublished graph
-	// forever.
-	m.ownMu.Lock()
-	m.owned[g] = struct{}{}
-	m.ownMu.Unlock()
-	published := false
-	defer func() {
-		if !published {
-			m.ownMu.Lock()
-			delete(m.owned, g)
-			m.ownMu.Unlock()
-		}
-	}()
-	invalidated := m.swap(g, func() {
-		m.ownMu.Lock()
-		delete(m.owned, g)
-		m.ownMu.Unlock()
-		m.retiredSnaps.Add(1)
-	})
-	published = true
+	invalidated := m.swap(g, m.retire)
 
 	// Publication succeeded: re-base the edit session on the snapshot it
 	// just produced, so the next delta is exactly "edits since the
@@ -437,46 +405,14 @@ func (m *Manager) Graph() *graph.Graph {
 	return m.base
 }
 
-// Owns reports whether g is a snapshot this manager published (or
-// adopted) that has not yet retired. Serving-layer observers use it to
-// attribute per-query events from in-flight queries still pinned to a
-// superseded snapshot.
-func (m *Manager) Owns(g *graph.Graph) bool {
-	m.ownMu.Lock()
-	defer m.ownMu.Unlock()
-	_, ok := m.owned[g]
-	return ok
-}
+// retire is the hook every snapshot this manager publishes (or adopts)
+// runs when its last reader releases it.
+func (m *Manager) retire() { m.retiredSnaps.Add(1) }
 
-// adopt registers a graph published before the manager existed (the
-// engine's boot snapshot) in the ownership set and returns the retire
-// hook to install on its snapshot.
-func (m *Manager) adopt(g *graph.Graph) (onRetire func()) {
-	m.ownMu.Lock()
-	m.owned[g] = struct{}{}
-	m.ownMu.Unlock()
-	return func() {
-		m.ownMu.Lock()
-		delete(m.owned, g)
-		m.ownMu.Unlock()
-		m.retiredSnaps.Add(1)
-	}
-}
-
-// Adopt registers the currently served snapshot with the ownership
-// bookkeeping and installs the retire hook on it.
-func (m *Manager) Adopt(s *Snapshot) {
-	m.AdoptAs(s, s.Graph())
-}
-
-// AdoptAs is Adopt with an explicit ownership identity: g is the graph by
-// which observers will recognise this snapshot's query events. The serving
-// engine needs the split when it relabels node ids — events are reported
-// against the caller-id-space graph while the snapshot itself holds the
-// relabeled copy.
-func (m *Manager) AdoptAs(s *Snapshot, g *graph.Graph) {
-	s.InstallRetire(m.adopt(g))
-}
+// Adopt installs the retire hook on a snapshot published before the
+// manager existed (the engine's boot snapshot), so its retirement counts
+// in RetiredSnapshots like that of every snapshot the manager publishes.
+func (m *Manager) Adopt(s *Snapshot) { s.InstallRetire(m.retire) }
 
 // Close flushes pending edits and shuts the write path down. Further
 // Apply/Flush calls fail with ErrClosed. The final flush error (if any)

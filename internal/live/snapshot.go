@@ -12,8 +12,8 @@ import (
 // snapshot retires — running its retire hook exactly once — when the last
 // in-flight query releases it. The graph itself is garbage-collected like
 // any Go value; the refcount exists so the serving layer knows *when* a
-// snapshot is truly out of use (pool retirement, ownership bookkeeping,
-// metrics), not to manage its memory.
+// snapshot is truly out of use (pool retirement, metrics), not to manage
+// its memory.
 //
 // The count starts at 1: the "current" reference, dropped by the swap that
 // supersedes the snapshot. Acquire/Release bracket each reader.
@@ -83,8 +83,7 @@ func (s *Snapshot) Release() {
 
 // InstallRetire arms (or replaces) the retire hook. It is only meaningful
 // while the snapshot still holds its current-pointer reference — the live
-// manager uses it to adopt the engine's boot snapshot into its ownership
-// bookkeeping.
+// manager uses it to count the retirement of the engine's boot snapshot.
 func (s *Snapshot) InstallRetire(f func()) {
 	if f == nil {
 		s.onRetire.Store(nil)

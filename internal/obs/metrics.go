@@ -128,7 +128,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — for totals maintained elsewhere (e.g. process-wide walk tallies).
+// time — for totals maintained elsewhere (e.g. an edit quota's rejections).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	r.series(name, help, kindCounterFunc, labels, func() any { return fn })
 }

@@ -27,6 +27,30 @@ func TestMarksBasics(t *testing.T) {
 	}
 }
 
+// TestMarksAddSkipsTouched: Add has Mark's membership semantics but leaves
+// the touched list alone, also across Unmark and re-Add.
+func TestMarksAddSkipsTouched(t *testing.T) {
+	var m Marks
+	m.Grow(8)
+	if !m.Add(2) || m.Add(2) {
+		t.Fatal("Add should report newly-added exactly once")
+	}
+	if !m.Has(2) || m.Has(3) || m.Mark(2) {
+		t.Fatal("membership wrong after Add")
+	}
+	m.Unmark(2)
+	if m.Has(2) || !m.Add(2) {
+		t.Fatal("re-Add after Unmark should report newly-added")
+	}
+	if m.Len() != 0 {
+		t.Fatalf("Add recorded touches: %v", m.Touched())
+	}
+	m.Clear()
+	if m.Has(2) {
+		t.Fatal("Clear should empty a set filled by Add")
+	}
+}
+
 func TestMarksUnmark(t *testing.T) {
 	var m Marks
 	m.Grow(4)

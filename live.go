@@ -80,13 +80,9 @@ func (e *Engine) StartLive(opts LiveOptions) (*Live, error) {
 	// The pending-edit watermark becomes a pressure signal: a backlog at
 	// its bound is Critical, independently of queue sojourn or heap.
 	e.monitor.SetSignal("edit_backlog", m.BacklogFrac)
-	// Adopt the boot snapshot into the ownership bookkeeping so observers
-	// can attribute queries still pinned to it after the first swap. The
-	// ownership identity is the caller-id-space graph — the one query
-	// events report — which differs from the snapshot's own graph when the
-	// engine relabels.
-	boot := e.snap.Load()
-	m.AdoptAs(boot, e.eventGraph(boot))
+	// Arm the boot snapshot's retire hook so its retirement counts like
+	// that of every snapshot the write path publishes.
+	m.Adopt(e.snap.Load())
 	return &Live{m: m, e: e}, nil
 }
 
@@ -115,12 +111,6 @@ func (l *Live) BacklogFrac() float64 { return l.m.BacklogFrac() }
 
 // Stats returns the write path's mutation counters.
 func (l *Live) Stats() LiveStats { return l.m.Stats() }
-
-// Owns reports whether g is a snapshot this write path published (or
-// adopted) that still has in-flight readers or is current. Serving-layer
-// observers use it to recognise per-query events from superseded but
-// not-yet-retired snapshots.
-func (l *Live) Owns(g *Graph) bool { return l.m.Owns(g) }
 
 // Graph returns the most recently published snapshot's graph.
 func (l *Live) Graph() *Graph { return l.m.Graph() }

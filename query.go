@@ -70,20 +70,21 @@ func Query(g *Graph, source int32, p Params) (*Result, error) {
 // discard. A panic inside the solver is contained and returned as an
 // error.
 func QueryCtx(ctx context.Context, g *Graph, source int32, p Params) (*Result, error) {
-	return querySolverOn(ctx, g, g, source, source, p, core.Solver{})
+	return querySolverOn(ctx, g, source, source, p, core.Solver{}, nil)
 }
 
 // querySolverOn is the spine under QueryCtx and the engine's default
 // compute, with the serving boundary split out: the solver runs on g with
-// internal source src, while the query event and the result speak the
-// caller's id space (eventG, source). The two spaces differ only for a
+// internal source src, while the result and the event passed to observe
+// (nil = none) speak the caller's source id. The two differ only for a
 // relabeling engine — s.ScoreRemap translates the score vector during
-// extraction, so only the bookkeeping fields need mapping here. Everywhere
-// else the pairs coincide.
-func querySolverOn(ctx context.Context, g, eventG *Graph, src, source int32, p Params, s core.Solver) (*Result, error) {
+// extraction, so only the bookkeeping fields need mapping here.
+func querySolverOn(ctx context.Context, g *Graph, src, source int32, p Params, s core.Solver, observe QueryHook) (*Result, error) {
 	start := time.Now()
 	scores, stats, err := s.QueryCtx(ctx, g, src, p)
-	notifyQueryHooks(QueryEvent{Graph: eventG, Source: source, Start: start, Duration: time.Since(start), Stats: stats, Err: err})
+	if observe != nil {
+		observe(QueryEvent{Source: source, Start: start, Duration: time.Since(start), Stats: stats, Err: err})
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ type TopK struct {
 // single-source vector. The stop rule is FORA's top-k variant (Wang et
 // al., arXiv:1908.10583).
 func QueryTopK(g *Graph, source int32, k int, p Params) ([]Ranked, float64, error) {
-	tk, err := queryTopKSolverCtx(context.Background(), g, source, k, p, core.Solver{})
+	tk, err := QueryTopKCtx(context.Background(), g, source, k, p)
 	return tk.Ranked, tk.Level, err
 }
 
@@ -62,25 +62,22 @@ func QueryTopK(g *Graph, source int32, k int, p Params) ([]Ranked, float64, erro
 // round at its next amortized check and the ranking computed from the
 // partial scores is returned with the degradation fields set.
 func QueryTopKCtx(ctx context.Context, g *Graph, source int32, k int, p Params) (TopK, error) {
-	return queryTopKSolverCtx(ctx, g, source, k, p, core.Solver{})
+	return queryTopKSolverOn(ctx, g, source, source, k, p, core.Solver{}, nil)
 }
 
-// queryTopKSolverCtx is QueryTopKCtx with an explicit solver. It fires the
-// query hooks once per round, and a degraded round ends the loop with that
-// round's ranking and residual bound.
-func queryTopKSolverCtx(ctx context.Context, g *Graph, source int32, k int, p Params, s core.Solver) (TopK, error) {
-	return queryTopKSolverOn(ctx, g, g, source, source, k, p, s)
-}
-
-// queryTopKSolverOn is queryTopKSolverCtx with the serving boundary split
-// out, mirroring querySolverOn: rounds run on g with internal source src;
-// events and the ranking speak the caller's id space (eventG, source). A
-// relabeling engine passes a solver whose ScoreRemap translates each
+// queryTopKSolverOn is the spine under QueryTopKCtx and the engine's
+// top-k compute, mirroring querySolverOn: rounds run on g with internal
+// source src, while the ranking and the events passed to observe (nil =
+// none; one per round, failed rounds included) speak the caller's source
+// id. A relabeling engine passes a solver whose ScoreRemap translates each
 // round's scores before ranking, so the ranked node ids come out
-// caller-space with no extra pass here.
-func queryTopKSolverOn(ctx context.Context, g, eventG *Graph, src, source int32, k int, p Params, s core.Solver) (TopK, error) {
+// caller-space with no extra pass here. A degraded round ends the loop
+// with that round's ranking and residual bound.
+func queryTopKSolverOn(ctx context.Context, g *Graph, src, source int32, k int, p Params, s core.Solver, observe QueryHook) (TopK, error) {
 	ans, err := s.TopK(ctx, g, src, k, p, func(start time.Time, st core.Stats, err error) {
-		notifyQueryHooks(QueryEvent{Graph: eventG, Source: source, Start: start, Duration: time.Since(start), Stats: st, Err: err})
+		if observe != nil {
+			observe(QueryEvent{Source: source, Start: start, Duration: time.Since(start), Stats: st, Err: err})
+		}
 	})
 	if err != nil {
 		return TopK{}, err

@@ -4,10 +4,10 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"resacc/internal/algo/power"
+	"resacc/internal/core"
 	"resacc/internal/dataset"
 	"resacc/internal/eval"
 	"resacc/internal/rng"
@@ -74,18 +74,17 @@ func TestQueryTopKValidation(t *testing.T) {
 	}
 }
 
-// countRounds counts the query-hook events g's top-k queries fire: one per
-// solver round.
-func countRounds(t *testing.T, g *Graph) *atomic.Int64 {
+// topKRounds runs QueryTopKCtx's spine with an observer and returns the
+// answer with the number of query events it fired: one per solver round.
+func topKRounds(t *testing.T, g *Graph, source int32, k int, p Params) (TopK, int) {
 	t.Helper()
-	var n atomic.Int64
-	remove := RegisterQueryHook(func(ev QueryEvent) {
-		if ev.Graph == g {
-			n.Add(1)
-		}
-	})
-	t.Cleanup(remove)
-	return &n
+	rounds := 0
+	tk, err := queryTopKSolverOn(context.Background(), g, source, source, k, p, core.Solver{},
+		func(QueryEvent) { rounds++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tk, rounds
 }
 
 // TestQueryTopKCertifiesInOneRound: on a clear ranking the first,
@@ -99,12 +98,8 @@ func TestQueryTopKCertifiesInOneRound(t *testing.T) {
 	}
 	p := DefaultParams(g)
 	p.H = info.H
-	rounds := countRounds(t, g)
-	a, err := QueryTopKCtx(context.Background(), g, 3, 5, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rounds.Load(); got != 1 {
+	a, got := topKRounds(t, g, 3, 5, p)
+	if got != 1 {
 		t.Fatalf("fired %d query events, want 1", got)
 	}
 	if a.Level != 1.0/8 || a.Delta != 8*p.Delta {
@@ -136,12 +131,8 @@ func TestQueryTopKEscalatesToTarget(t *testing.T) {
 	g := b.MustBuild()
 	p := DefaultParams(g)
 	p.NScale = 0.5
-	rounds := countRounds(t, g)
-	tk, err := QueryTopKCtx(context.Background(), g, 0, 10, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rounds.Load(); got != 4 {
+	tk, got := topKRounds(t, g, 0, 10, p)
+	if got != 4 {
 		t.Fatalf("fired %d query events, want 4", got)
 	}
 	if tk.Level != p.NScale || tk.Delta != p.Delta/p.NScale {
@@ -167,12 +158,8 @@ func TestQueryTopKExactRoundEndsLoop(t *testing.T) {
 	g := b.MustBuild()
 	p := DefaultParams(g)
 	p.NScale = 0.5
-	rounds := countRounds(t, g)
-	tk, err := QueryTopKCtx(context.Background(), g, 49, 10, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rounds.Load(); got != 1 {
+	tk, got := topKRounds(t, g, 49, 10, p)
+	if got != 1 {
 		t.Fatalf("fired %d query events, want 1", got)
 	}
 	if tk.Level != p.NScale || tk.Delta != p.Delta/p.NScale {
